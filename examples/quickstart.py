@@ -49,7 +49,7 @@ def main() -> None:
     result = model.result_
     print(f"occupied grid cells        : {result.quantization.grid.n_occupied}")
     print(f"transformed grid cells     : {result.transformed_grid.n_occupied}")
-    print(f"cells surviving threshold  : {len(result.surviving_cells)}")
+    print(f"cells surviving threshold  : {len(result.cell_labels)}")
     print(f"cluster sizes (objects)    : {result.cluster_sizes}")
 
     # 5. Streaming / out-of-core ingestion.  The quantized grid is a

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.baselines.base import BaseClusterer, NOISE_LABEL
-from repro.grid.connectivity import connected_components
+from repro.grid.connectivity import label_components_array
 from repro.grid.lookup import LookupTable
 from repro.grid.quantizer import GridQuantizer
 from repro.utils.validation import check_array, check_positive_int
@@ -106,18 +106,15 @@ class WaveCluster(BaseClusterer):
             return self
         threshold = percentile_threshold(non_zero, self.density_percentile)
 
-        surviving = [
-            tuple(int(c) for c in cell)
-            for cell in zip(*np.nonzero(transformed > threshold))
-        ]
-        cell_labels = connected_components(
-            surviving, connectivity=self.connectivity, shape=transformed.shape
+        # argwhere lists cells in lexicographic order, as the labelling expects.
+        surviving = np.argwhere(transformed > threshold)
+        cell_labels = label_components_array(surviving, connectivity=self.connectivity)
+        occupied_labels = LookupTable(level=self.level).label_points_from_arrays(
+            quantization.grid.coords, surviving, cell_labels
         )
-        lookup = LookupTable(level=self.level)
-        labels = lookup.label_points(quantization.cell_ids, cell_labels)
 
-        self.labels_ = labels
-        self.n_clusters_ = len(set(cell_labels.values())) if cell_labels else 0
+        self.labels_ = occupied_labels[quantization.inverse]
+        self.n_clusters_ = int(cell_labels.max()) + 1 if len(cell_labels) else 0
         self.threshold_ = threshold
         self.grid_shape_ = transformed.shape
         return self

@@ -48,7 +48,7 @@ the same object powers the drift-aware online control plane
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -74,8 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.tune.select import TuneResult
     from repro.wavelets.backends import TransformBackend
 
-Cell = Tuple[int, ...]
-
 
 @dataclass
 class AdaWaveResult:
@@ -89,7 +87,8 @@ class AdaWaveResult:
     quantization: QuantizationResult
     transformed_grid: SparseGrid
     threshold: ThresholdDiagnostics
-    surviving_cells: Dict[Cell, int] = field(default_factory=dict)
+    cell_coords: np.ndarray
+    cell_labels: np.ndarray
     n_clusters: int = 0
     level: int = 1
 
@@ -116,21 +115,19 @@ def build_result(
 
     The single place where surviving transformed cells become per-object
     labels; shared by :meth:`AdaWave.fit`/:meth:`AdaWave.finalize` and
-    :class:`~repro.core.multiresolution.MultiResolutionAdaWave`.
+    :class:`~repro.core.multiresolution.MultiResolutionAdaWave`: the
+    occupied cells are looked up once and gathered through the inverse.
     """
-    lookup = LookupTable(level=pipe.level)
-    labels = lookup.label_points_from_arrays(
-        quantization.cell_ids, pipe.cell_coords, pipe.cell_labels
-    )
-    cell_labels = dict(
-        zip(map(tuple, pipe.cell_coords.tolist()), pipe.cell_labels.tolist())
+    occupied_labels = LookupTable(level=pipe.level).label_points_from_arrays(
+        quantization.grid.coords, pipe.cell_coords, pipe.cell_labels
     )
     return AdaWaveResult(
-        labels=labels,
+        labels=occupied_labels[quantization.inverse],
         quantization=quantization,
         transformed_grid=pipe.transformed,
         threshold=pipe.threshold,
-        surviving_cells=cell_labels,
+        cell_coords=pipe.cell_coords,
+        cell_labels=pipe.cell_labels,
         n_clusters=pipe.n_clusters,
         level=pipe.level,
     )
@@ -333,7 +330,7 @@ class AdaWave:
         # Streaming state (populated by partial_fit).  The sketch owns the
         # quantization geometry, the COO grid and the ingest counters
         # (repro.stream.StreamSketch); the estimator only keeps the
-        # per-point cell chunks needed to emit labels_ at finalize time.
+        # per-point cell codes needed to emit labels_ at finalize time.
         self._sketch: Optional["StreamSketch"] = None
         self._stream_cell_chunks: List[np.ndarray] = []
         # True while partial_fit batches have been ingested but not yet
@@ -432,7 +429,7 @@ class AdaWave:
         self,
         quantizer: GridQuantizer,
         base_grid: SparseGrid,
-        base_cell_ids: np.ndarray,
+        base_inverse: np.ndarray,
         factors: Optional[Sequence[int]] = None,
     ) -> "AdaWave":
         """Sweep the grid pyramid axes and publish the winning configuration.
@@ -440,7 +437,8 @@ class AdaWave:
         ``base_grid`` is the quantization at the base scale; coarser
         resolution candidates are derived from it with
         :meth:`SparseGrid.coarsen` (exact -- no second pass over the points).
-        ``base_cell_ids`` may be empty for lookup-only streams.  ``factors``
+        ``base_inverse`` maps every point to its row in ``base_grid`` and
+        may be empty for lookup-only streams.  ``factors``
         restricts the pyramid's coarsening factors; ``(1,)`` keeps the fit at
         the base resolution so only the non-resolution axes (wavelet family,
         threshold policy) are swept.
@@ -461,13 +459,14 @@ class AdaWave:
         best = tune_result.best.candidate
         shape = best.scale
         widths = (quantizer.upper_ - quantizer.lower_) / np.asarray(shape, dtype=np.float64)
-        if len(base_cell_ids):
-            cell_ids = base_cell_ids // best.factor
-        else:
-            cell_ids = base_cell_ids
+        inverse = base_inverse
+        if best.factor > 1 and len(inverse):
+            # Each base cell's row in the winning grid, gathered per point.
+            coarse_codes = base_grid.codec.coarsen_codes(base_grid.codes, best.factor)
+            inverse = np.searchsorted(best.grid.codes, coarse_codes)[inverse]
         quantization = QuantizationResult(
             grid=best.grid,
-            cell_ids=cell_ids,
+            inverse=inverse,
             lower=quantizer.lower_.copy(),
             upper=quantizer.upper_.copy(),
             widths=widths,
@@ -532,7 +531,7 @@ class AdaWave:
             quantizer = GridQuantizer(scale=base_scale, bounds=self.bounds)
             quantization = quantizer.fit_transform(X)
             return self._run_tuned(
-                quantizer, quantization.grid, quantization.cell_ids, factors=factors
+                quantizer, quantization.grid, quantization.inverse, factors=factors
             )
         # Step 1: quantize the feature space into a sparse grid.
         scale = self._resolve_scale(X.shape[0], X.shape[1])
@@ -641,12 +640,12 @@ class AdaWave:
             # prior fit) so the counter matches exactly what this stream saw.
             self._reset_stream()
             self._sketch = self._new_sketch(X.shape[1])
-        cells = self._sketch.ingest(X)
+        codes = self._sketch.ingest(X)
         if not self.lookup_only:
-            # Per-point assignments are only needed to emit labels_ for the
+            # Per-point codes are only needed to emit labels_ for the
             # ingested points; lookup-only streams label through predict()
             # and keep ingestion memory proportional to the occupied cells.
-            self._stream_cell_chunks.append(cells)
+            self._stream_cell_chunks.append(codes)
         self._stream_dirty = True
         self.n_seen_ = self._sketch.n_seen
         return self
@@ -662,12 +661,15 @@ class AdaWave:
         if self._sketch is None or self.n_seen_ == 0:
             raise ValueError("finalize() called before any non-empty partial_fit batch.")
         sketch = self._sketch
-        if self.lookup_only:
-            cell_ids = np.empty((0, sketch.ndim), dtype=np.int64)
-        elif len(self._stream_cell_chunks) > 1:
-            cell_ids = np.concatenate(self._stream_cell_chunks, axis=0)
-        else:
-            cell_ids = self._stream_cell_chunks[0]
+        grid = sketch.grid.copy()
+        # Every kept point code's row among the occupied cells: the
+        # quantization inverse of the whole stream.
+        chunks = self._stream_cell_chunks
+        inverse = (
+            np.searchsorted(grid.codes, np.concatenate(chunks))
+            if chunks
+            else np.empty(0, dtype=np.int64)
+        )
         if self._wants_sweep():
             # The stream ingested at the base resolution; pick the serving
             # configuration now, from the accumulated sketch alone.  With a
@@ -678,15 +680,15 @@ class AdaWave:
             tune_scale = isinstance(self.scale, str) and self.scale == "tune"
             self._run_tuned(
                 sketch.quantizer,
-                sketch.grid.copy(),
-                cell_ids,
+                grid,
+                inverse,
                 factors=None if tune_scale else (1,),
             )
             self._stream_dirty = False
             return self
         quantization = QuantizationResult(
-            grid=sketch.grid.copy(),
-            cell_ids=cell_ids,
+            grid=grid,
+            inverse=inverse,
             lower=sketch.lower.copy(),
             upper=sketch.upper.copy(),
             widths=sketch.widths,

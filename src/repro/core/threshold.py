@@ -161,6 +161,10 @@ def elbow_threshold_distance(densities) -> ThresholdDiagnostics:
     )
 
 
+#: Breakpoint rows scored per broadcast block of the three-segment search.
+_ELBOW_BLOCK_ROWS = 32
+
+
 def _segment_sse(prefix: dict, start, end) -> np.ndarray:
     """Sum of squared residuals of the least-squares line over ``[start, end)``.
 
@@ -227,22 +231,26 @@ def elbow_threshold_segments(densities, max_curve_points: int = 400) -> Threshol
         "xy": np.concatenate([[0.0], np.cumsum(x * y)]),
     }
 
-    # Breakpoints i < j split the curve into [0, i), [i, j), [j, n).  All
-    # (i, j) pairs are scored in one broadcast pass: total error is
-    # head(i) + middle(i, j) + tail(j), each an O(1) prefix-sum lookup.
+    # Breakpoints i < j split the curve into [0, i), [i, j), [j, n), with at
+    # least 2 middle points.  Total error head(i) + middle(i, j) + tail(j) is
+    # scored over cache-sized blocks of i rows; row r admits j >= r + 4, so a
+    # block from row lo skips the columns before lo.  The first minimum in
+    # flat (i, j) order wins: a later block must be strictly smaller.
     i_candidates = np.arange(2, n_points - 3)
     j_candidates = np.arange(4, n_points - 1)
     head = _segment_sse(prefix, 0, i_candidates)
     tail = _segment_sse(prefix, j_candidates, n_points)
-    middle = _segment_sse(prefix, i_candidates[:, None], j_candidates[None, :])
-    total = head[:, None] + middle + tail[None, :]
-    # Mask infeasible pairs (middle segment shorter than 2 points).
-    total[j_candidates[None, :] < i_candidates[:, None] + 2] = np.inf
-    flat_best = int(np.argmin(total))
-    best_breaks = (
-        int(i_candidates[flat_best // len(j_candidates)]),
-        int(j_candidates[flat_best % len(j_candidates)]),
-    )
+    best_total, best_breaks = np.inf, None
+    for lo in range(0, len(i_candidates), _ELBOW_BLOCK_ROWS):
+        rows = i_candidates[lo : lo + _ELBOW_BLOCK_ROWS, None]
+        cols = j_candidates[None, lo:]
+        total = head[lo : lo + _ELBOW_BLOCK_ROWS, None] + _segment_sse(prefix, rows, cols)
+        total += tail[None, lo:]
+        total[cols < rows + 2] = np.inf
+        row, col = divmod(int(np.argmin(total)), total.shape[1])
+        if best_breaks is None or total[row, col] < best_total:
+            best_total = total[row, col]
+            best_breaks = (int(rows[row, 0]), int(cols[0, col]))
 
     junction = int(sample_index[best_breaks[1]])
     return ThresholdDiagnostics(

@@ -39,19 +39,17 @@ _NEGLIGIBLE = 1e-9
 
 def quantize_reference(quantizer: GridQuantizer, X: np.ndarray) -> QuantizationResult:
     """Per-point accumulation into the sparse grid (Algorithm 2, literal)."""
-    cell_ids = quantizer.transform(X)
+    point_cells = list(map(tuple, quantizer.transform(X).tolist()))
     grid = SparseGrid(quantizer.shape_)
-    for cell in map(tuple, cell_ids.tolist()):
+    for cell in point_cells:
         grid.add(cell, 1.0)
-    widths = (quantizer.upper_ - quantizer.lower_) / np.asarray(
-        quantizer.shape_, dtype=np.float64
-    )
+    row_of = {cell: row for row, cell in enumerate(grid.cells())}
     return QuantizationResult(
         grid=grid,
-        cell_ids=cell_ids,
+        inverse=np.array([row_of[cell] for cell in point_cells], dtype=np.int64),
         lower=quantizer.lower_.copy(),
         upper=quantizer.upper_.copy(),
-        widths=widths,
+        widths=quantizer.widths_.copy(),
     )
 
 

@@ -133,10 +133,10 @@ def run_tune_overhead(
         tuned = tune_pyramid(quantization.grid, factors=tuple(factors))
         best = tuned.best.candidate
         LookupTable(level=best.level).label_points_from_arrays(
-            quantization.cell_ids // best.factor,
+            quantization.grid.coords // best.factor,
             best.pipeline.cell_coords,
             best.pipeline.cell_labels,
-        )
+        )[quantization.inverse]
 
     def _refit_all() -> None:
         for scale in scales:

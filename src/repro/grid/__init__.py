@@ -1,17 +1,17 @@
-"""Sparse grid substrate: quantization, connectivity and lookup tables.
+"""Sparse grid substrate: cell codec, quantization, connectivity and lookup.
 
 The paper's "grid labeling" idea is that a d-dimensional quantized feature
 space should never be materialised densely: only cells that actually contain
-points are stored.  :class:`SparseGrid` keeps them COO-style -- an ``(m, d)``
-coordinate array plus an ``(m,)`` density vector in canonical lexicographic
-order -- which keeps memory proportional to the number of occupied cells
-rather than ``M ** d`` *and* makes every pipeline stage a vectorized array
-pass: bulk accumulation (:meth:`SparseGrid.add_many`), sketch merging for
-streaming ingestion (:meth:`SparseGrid.merge`), sort-based neighbour joins
-(:meth:`SparseGrid.neighbor_pairs` / :func:`label_components_array`) and the
-single-pass point labeling of :class:`LookupTable`.
+points are stored.  Every structure here keys a cell by one
+:class:`CellCodec` code, whose order is lexicographic cell order, so
+:class:`SparseGrid` is sorted unique codes plus densities and every stage is
+a vectorized array pass on codes: accumulation, sketch merging, coarsening,
+line grouping and the sort-based neighbour join.  Quantization encodes each
+point once and returns its occupied-cell row (the inverse), so objects are
+labelled by looking up the occupied cells and gathering through it.
 """
 
+from repro.grid.codec import CellCodec
 from repro.grid.sparse_grid import SparseGrid
 from repro.grid.quantizer import GridQuantizer, QuantizationResult
 from repro.grid.connectivity import (
@@ -22,6 +22,7 @@ from repro.grid.connectivity import (
 from repro.grid.lookup import CellLabelIndex, LookupTable
 
 __all__ = [
+    "CellCodec",
     "SparseGrid",
     "GridQuantizer",
     "QuantizationResult",

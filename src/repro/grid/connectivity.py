@@ -8,12 +8,14 @@ neighbours) and full adjacency (all ``3**d - 1`` surrounding cells, useful in
 2-D where diagonal contact should connect ring-shaped clusters).
 
 The labeling itself is vectorized: the occupied cells are encoded as sorted
-int64 linear codes, each positive neighbour offset becomes one shifted-code
-binary search (a sort-based neighbour join), and the resulting adjacency
-pairs are merged with the array union-find of
-:class:`repro.spatial.union_find.ArrayUnionFind`.  The per-cell hash-probing
-implementation is kept as a fallback for grids whose dense extent does not
-fit an int64 code, and as the reference the property tests compare against.
+codes over their bounding box (:class:`~repro.grid.codec.CellCodec`), each
+positive neighbour offset becomes one shifted-code binary search (the
+codec's sort-based neighbour join, shared with
+:meth:`SparseGrid.neighbor_pairs`), and the resulting adjacency pairs are
+merged with the array union-find of
+:class:`repro.spatial.union_find.ArrayUnionFind`.  The per-cell
+hash-probing implementation is kept as the reference the property tests
+compare against.
 """
 
 from __future__ import annotations
@@ -23,14 +25,12 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.grid.codec import CellCodec
 from repro.spatial.union_find import ArrayUnionFind, UnionFind
 
 Cell = Tuple[int, ...]
 
 _FULL_CONNECTIVITY_MAX_DIM = 8
-
-#: Largest dense extent for which int64 linear codes are used.
-_MAX_ENCODABLE = 2**62
 
 
 def neighbor_offsets(ndim: int, connectivity: str = "face") -> List[Cell]:
@@ -88,54 +88,23 @@ def label_components_array(coords: np.ndarray, connectivity: str = "face") -> np
     m = len(coords)
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    # Shift into the occupied bounding box so arbitrary (even negative)
-    # coordinates encode compactly; cells outside the box cannot be occupied,
-    # so masking shifted neighbours against the box is exact.
-    mins = coords.min(axis=0)
-    shifted = coords - mins
-    extent = shifted.max(axis=0) + 1
-    total = 1
-    for size in extent.tolist():
-        total *= int(size)
-    if total >= _MAX_ENCODABLE:
-        labels_map = _connected_components_hash(
-            [tuple(row) for row in coords.tolist()], connectivity
-        )
-        return np.fromiter(
-            (labels_map[tuple(row)] for row in coords.tolist()), dtype=np.int64, count=m
-        )
-
-    strides = np.empty(len(extent), dtype=np.int64)
-    strides[-1] = 1
-    for axis in range(len(extent) - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * extent[axis + 1]
-    codes = shifted @ strides
-
+    # Encode over the occupied bounding box so arbitrary (even negative)
+    # coordinates encode compactly; cells outside the box cannot be
+    # occupied, so joining against the box alone is exact.
+    codec = CellCodec.bounding(coords)
+    sources, targets = codec.join(
+        codec.encode(coords), neighbor_offsets(coords.shape[1], connectivity)
+    )
     union = ArrayUnionFind(m)
-    sources: List[np.ndarray] = []
-    targets: List[np.ndarray] = []
-    for offset in neighbor_offsets(coords.shape[1], connectivity):
-        moved = shifted + np.asarray(offset, dtype=np.int64)
-        in_box = np.all((moved >= 0) & (moved < extent), axis=1)
-        if not in_box.any():
-            continue
-        src = np.flatnonzero(in_box)
-        neighbor_codes = moved[in_box] @ strides
-        pos = np.searchsorted(codes, neighbor_codes)
-        pos = np.minimum(pos, m - 1)
-        found = codes[pos] == neighbor_codes
-        if found.any():
-            sources.append(src[found])
-            targets.append(pos[found])
-    if sources:
-        union.union_pairs(np.concatenate(sources), np.concatenate(targets))
+    if len(sources):
+        union.union_pairs(sources, targets)
     return union.labels()
 
 
 def _connected_components_hash(
     cell_list: List[Cell], connectivity: str
 ) -> Dict[Cell, int]:
-    """The original per-cell hash-probing labeling (reference / fallback)."""
+    """The original per-cell hash-probing labeling (the reference)."""
     occupied = set(cell_list)
     union = UnionFind(cell_list)
     offsets = neighbor_offsets(len(cell_list[0]), connectivity)

@@ -3,40 +3,34 @@
 The clusters AdaWave finds live in the *transformed* feature space (the
 approximation subband after ``level`` wavelet decompositions), whose grid is
 coarser than the original quantization by a factor of ``2 ** level`` per
-dimension.  The lookup table records, for every original cell, the
-transformed cell it contributes to, so cluster labels can be propagated from
-transformed grids to original grids and finally to the objects themselves
-(Section IV-D).
+dimension: an original cell ``c`` contributes to the transformed cell
+``c // 2 ** level`` (Section IV-D).  Labels reach the objects through the
+quantization inverse -- one lookup per occupied cell plus one gather -- and a
+served model encodes points straight to transformed-cell codes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
-
 import numpy as np
 
-Cell = Tuple[int, ...]
+from repro.grid.codec import CellCodec
 
 NOISE_LABEL = -1
-
-#: Largest dense extent for which int64 linear codes are collision free.
-_MAX_ENCODABLE = 2**62
 
 
 class CellLabelIndex:
     """Immutable cell -> cluster-label index over the surviving cells.
 
     The index is the heart of the lookup-only ("serving") path: it stores the
-    ``(k, d)`` labelled transformed cells as linear codes sorted once at
-    construction, so labelling ``n`` query cells afterwards is a single
-    encode / ``searchsorted`` / fancy-index pass costing ``O(n log k)`` time
-    and ``O(k)`` resident memory -- it never grows with the training-set
-    size.  Cells outside the index (including anything outside the bounding
-    box of the labelled cells) map to :data:`NOISE_LABEL`.
-
-    For astronomically large extents whose linear codes would overflow
-    ``int64`` (e.g. 128 intervals in 9+ dimensions), the index degrades to a
-    hash table over cell tuples with a memoised per-distinct-cell probe.
+    ``(k, d)`` labelled transformed cells as codes of a
+    :class:`~repro.grid.codec.CellCodec` sorted once at construction, so
+    labelling ``n`` query cells afterwards is a single encode /
+    ``searchsorted`` / fancy-index pass costing ``O(n log k)`` time and
+    ``O(k)`` resident memory -- it never grows with the training-set size.
+    Cells outside the index (including anything outside the bounding box of
+    the labelled cells) map to :data:`NOISE_LABEL`.  Astronomically large
+    extents (e.g. 128 intervals in 9+ dimensions) run the same path on the
+    codec's exact Python-int codes.
 
     Parameters
     ----------
@@ -47,10 +41,7 @@ class CellLabelIndex:
         ``(k,)`` integer cluster labels aligned with ``cells``.
     """
 
-    __slots__ = (
-        "ndim", "n_cells", "_mins", "_maxs", "_strides",
-        "_codes", "_values", "_table",
-    )
+    __slots__ = ("ndim", "n_cells", "codec", "_codes", "_values")
 
     def __init__(self, cells, labels) -> None:
         cells = np.asarray(cells, dtype=np.int64)
@@ -62,61 +53,49 @@ class CellLabelIndex:
                 f"labels must have shape ({len(cells)},); got {labels.shape}."
             )
         self.ndim = cells.shape[1]
-        self.n_cells = len(cells)
-        self._table: Optional[Dict[Cell, int]] = None
-        self._strides: Optional[np.ndarray] = None
-        if self.n_cells == 0:
-            self._mins = self._maxs = None
-            self._codes = np.empty(0, dtype=np.int64)
-            self._values = np.empty(0, dtype=np.int64)
-            return
-        self._mins = cells.min(axis=0)
-        self._maxs = cells.max(axis=0)
-        extent = self._maxs - self._mins + 1
-        total = 1
-        for size in extent.tolist():
-            total *= int(size)
-        if total >= _MAX_ENCODABLE:
-            self._table = dict(zip(map(tuple, cells.tolist()), labels.tolist()))
-            self._codes = np.empty(0, dtype=np.int64)
-            self._values = np.empty(0, dtype=np.int64)
-            return
-        strides = np.empty(len(extent), dtype=np.int64)
-        strides[-1] = 1
-        for axis in range(len(extent) - 2, -1, -1):
-            strides[axis] = strides[axis + 1] * extent[axis + 1]
-        self._strides = strides
-        codes = (cells - self._mins) @ strides
+        codec = CellCodec.bounding(cells) if len(cells) else None
+        self._adopt(codec, codec.encode(cells) if codec else np.empty(0, np.int64), labels)
+
+    @classmethod
+    def from_codes(cls, codec: CellCodec, codes: np.ndarray, labels) -> "CellLabelIndex":
+        """Index labelled cells given by their codes in ``codec``.
+
+        :meth:`lookup` then also accepts query codes of ``codec`` -- the
+        serving path encodes points straight to them.
+        """
+        index = cls.__new__(cls)
+        index.ndim = codec.ndim
+        index._adopt(codec, np.asarray(codes, codec.dtype), np.asarray(labels, np.int64))
+        return index
+
+    def _adopt(self, codec, codes: np.ndarray, labels: np.ndarray) -> None:
+        self.codec = codec
+        self.n_cells = len(codes)
         order = np.argsort(codes, kind="stable")
         self._codes = codes[order]
         self._values = labels[order]
 
     def lookup(self, cells: np.ndarray) -> np.ndarray:
-        """Labels of the query ``(n, d)`` cells; unmapped cells get noise."""
-        cells = np.asarray(cells, dtype=np.int64)
-        if cells.ndim != 2 or cells.shape[1] != self.ndim:
+        """Labels of the query cells; unmapped cells get noise.
+
+        ``cells`` is an ``(n, d)`` coordinate array, or an ``(n,)`` array of
+        codes in :attr:`codec`.
+        """
+        cells = np.asarray(cells)
+        if cells.ndim != 1 and (cells.ndim != 2 or cells.shape[1] != self.ndim):
             raise ValueError(
                 f"query cells must have shape (n, {self.ndim}); got {cells.shape}."
             )
         labels = np.full(len(cells), NOISE_LABEL, dtype=np.int64)
         if self.n_cells == 0 or len(cells) == 0:
             return labels
-        if self._table is not None:
-            cache: Dict[Cell, int] = {}
-            for index, cell in enumerate(map(tuple, cells.tolist())):
-                if cell not in cache:
-                    cache[cell] = self._table.get(cell, NOISE_LABEL)
-                labels[index] = cache[cell]
-            return labels
-        inside = np.all((cells >= self._mins) & (cells <= self._maxs), axis=1)
-        if not inside.any():
-            return labels
-        query = np.flatnonzero(inside)
-        codes = (cells[inside] - self._mins) @ self._strides
-        pos = np.searchsorted(self._codes, codes)
-        pos = np.minimum(pos, len(self._codes) - 1)
+        rows, codes = None, cells
+        if cells.ndim == 2:
+            rows = np.flatnonzero(self.codec.contains(cells))
+            codes = self.codec.encode(cells[rows])
+        pos = np.minimum(np.searchsorted(self._codes, codes), self.n_cells - 1)
         found = self._codes[pos] == codes
-        labels[query[found]] = self._values[pos[found]]
+        labels[found if rows is None else rows[found]] = self._values[pos[found]]
         return labels
 
 
@@ -142,64 +121,12 @@ class LookupTable:
         """Resolution reduction per dimension between original and transformed grids."""
         return self._factor
 
-    def to_transformed(self, cell: Cell) -> Cell:
-        """Transformed-space coordinates of an original-space cell."""
-        return tuple(int(c) // self._factor for c in cell)
-
     def to_transformed_many(self, cells: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`to_transformed` for an ``(n, d)`` array of cells."""
+        """Transformed-space coordinates of an ``(n, d)`` array of original cells."""
         cells = np.asarray(cells, dtype=np.int64)
         if cells.ndim != 2:
             raise ValueError(f"cells must be a 2-D array; got shape {cells.shape}.")
         return cells // self._factor
-
-    def build(self, original_cells: Iterable[Cell]) -> Dict[Cell, Cell]:
-        """Explicit mapping ``{original cell: transformed cell}`` (paper's LT)."""
-        return {tuple(cell): self.to_transformed(cell) for cell in original_cells}
-
-    def label_cells(
-        self,
-        original_cells: Iterable[Cell],
-        transformed_labels: Mapping[Cell, int],
-    ) -> Dict[Cell, int]:
-        """Propagate component labels from transformed cells to original cells.
-
-        Original cells whose transformed counterpart was filtered out (not in
-        ``transformed_labels``) are labelled as noise.
-        """
-        labels: Dict[Cell, int] = {}
-        for cell in original_cells:
-            cell = tuple(cell)
-            labels[cell] = transformed_labels.get(self.to_transformed(cell), NOISE_LABEL)
-        return labels
-
-    def label_points(
-        self,
-        point_cells: np.ndarray,
-        transformed_labels: Mapping[Cell, int],
-    ) -> np.ndarray:
-        """Assign every object the label of its transformed grid cell.
-
-        Parameters
-        ----------
-        point_cells:
-            ``(n_samples, d)`` array of original-space cell coordinates (from
-            :class:`~repro.grid.quantizer.QuantizationResult`).
-        transformed_labels:
-            Mapping from transformed cell to cluster label.
-
-        Returns
-        -------
-        numpy.ndarray
-            Integer labels with ``-1`` for objects in filtered (noise) cells.
-        """
-        if not transformed_labels:
-            return np.full(len(np.asarray(point_cells)), NOISE_LABEL, dtype=np.int64)
-        label_cells = np.asarray(list(transformed_labels.keys()), dtype=np.int64)
-        label_values = np.fromiter(
-            transformed_labels.values(), dtype=np.int64, count=len(label_cells)
-        )
-        return self.label_points_from_arrays(point_cells, label_cells, label_values)
 
     def label_points_from_arrays(
         self,
@@ -207,13 +134,15 @@ class LookupTable:
         label_cells: np.ndarray,
         label_values: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized :meth:`label_points` over array-shaped label tables.
+        """Label original-space cells from an array-shaped label table.
 
-        ``label_cells`` is the ``(k, d)`` array of labelled transformed cells
-        and ``label_values`` the matching ``(k,)`` labels.  All points are
-        mapped in a single encode / ``searchsorted`` / fancy-index pass
-        through a throwaway :class:`CellLabelIndex`; cells without a labelled
-        counterpart get :data:`NOISE_LABEL`.
+        ``point_cells`` is an ``(n, d)`` array of original-space cells -- the
+        fit passes the *occupied* cells and gathers their labels through the
+        quantization inverse.  ``label_cells`` is the ``(k, d)`` array of
+        labelled transformed cells and ``label_values`` the matching ``(k,)``
+        labels.  All cells are mapped in a single encode / ``searchsorted`` /
+        fancy-index pass through a throwaway :class:`CellLabelIndex`; cells
+        without a labelled counterpart get :data:`NOISE_LABEL`.
         """
         transformed = self.to_transformed_many(point_cells)
         label_cells = np.asarray(label_cells, dtype=np.int64)

@@ -2,9 +2,10 @@
 
 The quantizer divides the domain of every dimension into ``scale`` intervals,
 assigns each object to the grid cell containing it and accumulates cell
-densities into a :class:`~repro.grid.sparse_grid.SparseGrid`.  It also keeps
-the per-point cell assignment so the final lookup-table step can map cluster
-labels from grids back to objects.
+densities into a :class:`~repro.grid.sparse_grid.SparseGrid`.  Each point is
+encoded once, from float straight to cell code, and the sort grouping the
+codes also yields each point's occupied-cell row (the *quantization
+inverse*): all the lookup-table step needs to label the objects.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.grid.codec import CellCodec
 from repro.grid.sparse_grid import SparseGrid
 from repro.utils.validation import check_array, check_positive_int, column_or_row
 
@@ -26,9 +28,9 @@ class QuantizationResult:
     ----------
     grid:
         Sparse grid of cell densities.
-    cell_ids:
-        Integer array of shape ``(n_samples, n_features)`` with every point's
-        cell coordinates.
+    inverse:
+        ``(n_samples,)`` row of every point's cell in the grid's canonical
+        arrays; a per-cell quantity reaches the points as ``per_cell[inverse]``.
     lower, upper:
         Per-dimension domain bounds used for the quantization.
     widths:
@@ -36,7 +38,7 @@ class QuantizationResult:
     """
 
     grid: SparseGrid
-    cell_ids: np.ndarray
+    inverse: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     widths: np.ndarray
@@ -44,11 +46,13 @@ class QuantizationResult:
     @property
     def n_samples(self) -> int:
         """Number of quantized objects."""
-        return self.cell_ids.shape[0]
+        return len(self.inverse)
 
-    def cell_of(self, index: int) -> Tuple[int, ...]:
-        """Cell coordinates of the ``index``-th object."""
-        return tuple(int(c) for c in self.cell_ids[index])
+    @property
+    def cell_ids(self) -> np.ndarray:
+        """``(n_samples, n_features)`` cell coordinates of every point,
+        decoded on demand (the pipeline itself never builds them)."""
+        return self.grid.coords[self.inverse]
 
 
 class GridQuantizer:
@@ -76,6 +80,7 @@ class GridQuantizer:
         self.lower_: Optional[np.ndarray] = None
         self.upper_: Optional[np.ndarray] = None
         self.shape_: Optional[Tuple[int, ...]] = None
+        self.widths_: Optional[np.ndarray] = None
 
     def _resolve_scale(self, n_features: int) -> Tuple[int, ...]:
         if np.isscalar(self.scale):
@@ -116,6 +121,7 @@ class GridQuantizer:
             raise ValueError("some samples fall outside the provided bounds.")
         self.lower_ = np.asarray(lower, dtype=np.float64)
         self.upper_ = np.asarray(upper, dtype=np.float64)
+        self.widths_ = (self.upper_ - self.lower_) / np.asarray(self.shape_, dtype=np.float64)
         return self
 
     @classmethod
@@ -150,48 +156,69 @@ class GridQuantizer:
         quantizer.shape_ = shape
         quantizer.lower_ = lower.copy()
         quantizer.upper_ = upper.copy()
+        quantizer.widths_ = (upper - lower) / np.asarray(shape, dtype=np.float64)
         return quantizer
+
+    def coarsen(self, factor: int) -> "GridQuantizer":
+        """The quantizer mapping points to their cell here ``// factor``.
+
+        One fused encode against ``factor`` times the cell width: for a
+        power-of-two ``factor`` that is exact, clipping included, because
+        scaling by a power of two commutes with floating-point rounding.
+        """
+        self._check_fitted()
+        factor = check_positive_int(factor, name="factor")
+        if factor & (factor - 1):
+            raise ValueError(f"factor must be a power of two; got {factor}.")
+        coarse = GridQuantizer.from_fitted(
+            self.lower_, self.upper_, self.codec.coarsen(factor).shape
+        )
+        coarse.widths_ = self.widths_ * factor
+        return coarse
 
     def _check_fitted(self) -> None:
         if self.lower_ is None or self.upper_ is None or self.shape_ is None:
             raise RuntimeError("GridQuantizer must be fitted before use.")
 
-    def transform(self, X) -> np.ndarray:
-        """Map points to integer cell coordinates (shape ``(n_samples, d)``)."""
+    @property
+    def codec(self) -> CellCodec:
+        """The :class:`~repro.grid.codec.CellCodec` of the fitted grid."""
         self._check_fitted()
-        X = check_array(X, name="X")
+        return CellCodec(self.shape_)
+
+    def _points(self, X, allow_empty: bool = False) -> np.ndarray:
+        """``X`` validated against the fitted grid's dimensionality."""
+        self._check_fitted()
+        X = check_array(X, name="X", allow_empty=allow_empty)
         if X.shape[1] != len(self.shape_):
             raise ValueError(
                 f"X has {X.shape[1]} features but the quantizer was fitted on {len(self.shape_)}."
             )
-        widths = (self.upper_ - self.lower_) / np.asarray(self.shape_, dtype=np.float64)
-        cells = np.floor((X - self.lower_) / widths).astype(np.int64)
+        return X
+
+    def transform(self, X) -> np.ndarray:
+        """Map points to ``(n_samples, d)`` cell coordinates (the test oracle)."""
+        X = self._points(X)
+        cells = np.floor((X - self.lower_) / self.widths_).astype(np.int64)
         # Clip to the valid range so points exactly on the closed upper bound
         # (or passed through explicit bounds) stay inside the grid.
         cells = np.clip(cells, 0, np.asarray(self.shape_, dtype=np.int64) - 1)
         return cells
 
     def transform_with_mask(self, X) -> Tuple[np.ndarray, np.ndarray]:
-        """Quantize arbitrary points, flagging the ones outside the grid.
+        """Encode arbitrary points, flagging the ones outside the grid.
 
-        Unlike :meth:`transform` -- whose callers have already validated that
-        every sample lies inside the bounds -- this is the serving-side entry
-        point: new points may fall anywhere.  Returns ``(cells, inside)``
-        where ``inside`` is a boolean mask of the points within the fitted
-        bounds; the cell coordinates of outside points are clipped into the
-        grid but should be ignored (the serving layer labels them noise).
+        The serving-side entry point: new points may fall anywhere.  Returns
+        ``(codes, inside)``, the cell codes in :attr:`codec` and a mask of
+        the points within the fitted bounds; outside points are clipped into
+        edge cells (in float, so |x| ~ 1e30 encodes cleanly) and should be
+        ignored (the serving layer labels them noise).
         """
-        self._check_fitted()
-        X = check_array(X, name="X", allow_empty=True)
-        if X.shape[1] != len(self.shape_):
-            raise ValueError(
-                f"X has {X.shape[1]} features but the quantizer was fitted on {len(self.shape_)}."
-            )
-        inside = np.all((X >= self.lower_) & (X <= self.upper_), axis=1)
-        widths = (self.upper_ - self.lower_) / np.asarray(self.shape_, dtype=np.float64)
-        cells = np.floor((X - self.lower_) / widths).astype(np.int64)
-        np.clip(cells, 0, np.asarray(self.shape_, dtype=np.int64) - 1, out=cells)
-        return cells, inside
+        X = self._points(X, allow_empty=True)
+        inside = np.ones(len(X), dtype=bool)
+        for axis, column in enumerate(X.T):
+            inside &= (column >= self.lower_[axis]) & (column <= self.upper_[axis])
+        return self.codec.encode_points(X, self.lower_, self.widths_), inside
 
     def fit_transform(self, X) -> QuantizationResult:
         """Fit the bounds and quantize ``X`` in one call (Algorithm 2)."""
@@ -200,16 +227,14 @@ class GridQuantizer:
 
     def quantize(self, X) -> QuantizationResult:
         """Quantize ``X`` into a :class:`QuantizationResult` using fitted bounds."""
-        self._check_fitted()
-        cell_ids = self.transform(X)
-        grid = SparseGrid.from_coo(self.shape_, cell_ids, 1.0)
-        widths = (self.upper_ - self.lower_) / np.asarray(self.shape_, dtype=np.float64)
+        codes = self.codec.encode_points(self._points(X), self.lower_, self.widths_)
+        grid, inverse = SparseGrid.from_point_codes(self.shape_, codes)
         return QuantizationResult(
             grid=grid,
-            cell_ids=cell_ids,
+            inverse=inverse,
             lower=self.lower_.copy(),
             upper=self.upper_.copy(),
-            widths=widths,
+            widths=self.widths_.copy(),
         )
 
     def cell_centers(self, cells: Sequence[Tuple[int, ...]]) -> np.ndarray:
@@ -218,5 +243,4 @@ class GridQuantizer:
         cells_arr = np.asarray(list(cells), dtype=np.float64)
         if cells_arr.ndim != 2 or cells_arr.shape[1] != len(self.shape_):
             raise ValueError("cells must be a sequence of d-dimensional coordinates.")
-        widths = (self.upper_ - self.lower_) / np.asarray(self.shape_, dtype=np.float64)
-        return self.lower_ + (cells_arr + 0.5) * widths
+        return self.lower_ + (cells_arr + 0.5) * self.widths_

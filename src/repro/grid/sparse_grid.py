@@ -1,15 +1,15 @@
 """The sparse cell/density grid data structure ("grid labeling").
 
 Algorithm 2 of the paper quantizes the feature space and stores *only* the
-grids with non-zero density.  :class:`SparseGrid` is that structure.  It is
-stored COO-style -- an ``(m, d)`` integer coordinate array plus an ``(m,)``
-density vector, kept in lexicographic (row-major) cell order -- so every hot
-operation (bulk accumulation, merging, per-dimension line extraction for the
-wavelet pass, neighbour joins) is a vectorized array pass instead of a Python
-loop over a dict.  The dict-flavoured scalar API of the original
-implementation (``add``/``get``/``items``/``in``) is preserved on top of the
-arrays: scalar mutations land in a small pending buffer that is folded into
-the canonical arrays on the next read.
+grids with non-zero density.  :class:`SparseGrid` is that structure: sorted
+unique cell codes (:class:`~repro.grid.codec.CellCodec`, whose order is
+lexicographic cell order) plus an ``(m,)`` density vector, coordinates
+decoded on demand -- so every hot operation (accumulation, merging,
+coarsening, line extraction for the wavelet pass, neighbour joins) is a
+vectorized array pass over codes.  The dict-flavoured scalar API of the
+original implementation (``add``/``get``/``items``/``in``) is preserved on
+top: scalar mutations land in a small pending buffer folded into the
+canonical arrays on the next read.
 
 Canonical ordering makes the structure a *mergeable sketch*: two grids built
 from disjoint batches of points merge into exactly the grid the union of the
@@ -23,25 +23,16 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
+from repro.grid.codec import CellCodec
+
 Cell = Tuple[int, ...]
 
-#: Largest dense cell count for which int64 linear codes are used; beyond it
-#: (e.g. 128 intervals in 9+ dimensions) the code falls back to purely
-#: lexicographic row operations to avoid integer overflow.
-_MAX_ENCODABLE = 2**62
 
-
-def _lexsort_rows(coords: np.ndarray) -> np.ndarray:
-    """Indices sorting the rows of ``coords`` lexicographically (first column
-    most significant)."""
-    return np.lexsort(coords.T[::-1])
-
-
-def _row_change_mask(sorted_coords: np.ndarray) -> np.ndarray:
-    """Boolean mask marking the first row of every run of equal sorted rows."""
-    mask = np.empty(len(sorted_coords), dtype=bool)
+def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
+    """Boolean mask marking the first code of every run of equal sorted codes."""
+    mask = np.empty(len(sorted_codes), dtype=bool)
     mask[:1] = True
-    np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1, out=mask[1:])
+    mask[1:] = sorted_codes[1:] != sorted_codes[:-1]
     return mask
 
 
@@ -64,25 +55,12 @@ class SparseGrid:
         if any(s < 1 for s in shape):
             raise ValueError(f"every dimension must have at least one interval; got {shape}.")
         self._shape = shape
-        ndim = len(shape)
-
-        total = 1
-        for s in shape:
-            total *= s
-        if total < _MAX_ENCODABLE:
-            # C-order strides: the linear code of a cell is ``coords @ strides``
-            # and code order coincides with lexicographic cell order.
-            strides = np.empty(ndim, dtype=np.int64)
-            strides[-1] = 1
-            for axis in range(ndim - 2, -1, -1):
-                strides[axis] = strides[axis + 1] * shape[axis + 1]
-            self._strides: Optional[np.ndarray] = strides
-        else:
-            self._strides = None
-
-        self._coords = np.empty((0, ndim), dtype=np.int64)
+        self._codec = CellCodec(shape)
+        # Canonical storage: sorted unique cell codes and their densities.
+        # Coordinates are decoded from the codes on first use.
+        self._codes = self._codec.empty()
         self._values = np.empty(0, dtype=np.float64)
-        self._codes: Optional[np.ndarray] = np.empty(0, dtype=np.int64) if self._strides is not None else None
+        self._coords: Optional[np.ndarray] = None
         self._pending_chunks: List[Tuple[np.ndarray, np.ndarray]] = []
         self._pending_scalar: Dict[Cell, float] = {}
         if cells:
@@ -104,19 +82,30 @@ class SparseGrid:
         return grid
 
     @classmethod
-    def _from_sorted(
-        cls,
-        shape: Tuple[int, ...],
-        coords: np.ndarray,
-        values: np.ndarray,
-        codes: Optional[np.ndarray],
-    ) -> "SparseGrid":
+    def from_point_codes(cls, shape: Sequence[int], codes) -> Tuple["SparseGrid", np.ndarray]:
+        """Count unit-mass points given by their cell codes (Algorithm 2).
+
+        Returns the grid and the quantization inverse: every point's row in
+        the grid's canonical arrays, read off the same sort that groups the
+        points, so a per-cell quantity reaches the points with one gather.
+        Points of one cell all carry mass 1, so the order inside a run of
+        equal codes is irrelevant and the sort need not be stable.
+        """
+        order = np.argsort(codes)
+        sorted_codes = codes[order]
+        first = _run_starts(sorted_codes)
+        starts = np.flatnonzero(first)
+        inverse = np.empty(len(codes), dtype=np.int64)
+        inverse[order] = np.cumsum(first) - 1
+        counts = np.diff(np.append(starts, len(codes))).astype(np.float64)
+        return cls._from_sorted(shape, sorted_codes[starts], counts), inverse
+
+    @classmethod
+    def _from_sorted(cls, shape: Sequence[int], codes, values) -> "SparseGrid":
         """Internal fast path: adopt already-canonical (sorted, unique) arrays."""
         grid = cls(shape)
-        grid._coords = coords
+        grid._codes = codes
         grid._values = values
-        if grid._strides is not None:
-            grid._codes = codes if codes is not None else coords @ grid._strides
         return grid
 
     # -- pending-buffer management -------------------------------------------
@@ -128,49 +117,37 @@ class SparseGrid:
         """Fold pending scalar / bulk additions into the canonical arrays."""
         if not self._dirty():
             return
-        parts_c: List[np.ndarray] = [self._coords]
+        parts_c: List[np.ndarray] = [self._codes]
         parts_v: List[np.ndarray] = [self._values]
-        parts_c.extend(chunk for chunk, _ in self._pending_chunks)
+        parts_c.extend(codes for codes, _ in self._pending_chunks)
         parts_v.extend(vals for _, vals in self._pending_chunks)
         if self._pending_scalar:
-            parts_c.append(np.array(list(self._pending_scalar.keys()), dtype=np.int64))
+            cells = np.array(list(self._pending_scalar.keys()), dtype=np.int64)
+            parts_c.append(self._codec.encode(cells))
             parts_v.append(np.fromiter(self._pending_scalar.values(), dtype=np.float64))
-        coords = np.concatenate(parts_c, axis=0)
+        codes = np.concatenate(parts_c)
         values = np.concatenate(parts_v)
         self._pending_chunks = []
         self._pending_scalar = {}
 
-        if self._strides is not None:
-            codes = coords @ self._strides
-            order = np.argsort(codes, kind="stable")
-            sorted_codes = codes[order]
-            keep = np.empty(len(sorted_codes), dtype=bool)
-            keep[:1] = True
-            np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=keep[1:])
-        else:
-            order = _lexsort_rows(coords)
-            keep = _row_change_mask(coords[order])
-            sorted_codes = None
-        starts = np.flatnonzero(keep)
+        # Stable, so duplicate densities are summed in insertion order.
+        order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[order]
+        starts = np.flatnonzero(_run_starts(sorted_codes))
         self._values = np.add.reduceat(values[order], starts)
-        self._coords = np.ascontiguousarray(coords[order][starts])
-        if sorted_codes is not None:
-            self._codes = sorted_codes[starts]
+        self._codes = sorted_codes[starts]
+        self._coords = None
 
     def _find_row(self, cell: Cell) -> int:
         """Row index of ``cell`` in the canonical arrays, or -1 if absent."""
         self._consolidate()
         if len(self._values) == 0:
             return -1
-        cell_arr = np.asarray(cell, dtype=np.int64)
-        if self._strides is not None:
-            code = int(cell_arr @ self._strides)
-            row = int(np.searchsorted(self._codes, code))
-            if row < len(self._codes) and self._codes[row] == code:
-                return row
-            return -1
-        matches = np.flatnonzero(np.all(self._coords == cell_arr, axis=1))
-        return int(matches[0]) if len(matches) else -1
+        code = self._codec.encode(np.asarray([cell], dtype=np.int64))[0]
+        row = int(np.searchsorted(self._codes, code))
+        if row < len(self._codes) and self._codes[row] == code:
+            return row
+        return -1
 
     # -- basic container protocol -------------------------------------------
 
@@ -203,7 +180,21 @@ class SparseGrid:
         read-only.
         """
         self._consolidate()
+        if self._coords is None:
+            self._coords = self._codec.decode(self._codes)
         return self._coords
+
+    @property
+    def codes(self) -> np.ndarray:
+        """``(m,)`` sorted unique cell codes aligned with :attr:`coords`
+        (in :attr:`codec`; read-only)."""
+        self._consolidate()
+        return self._codes
+
+    @property
+    def codec(self) -> CellCodec:
+        """The :class:`~repro.grid.codec.CellCodec` of this grid's cells."""
+        return self._codec
 
     @property
     def values(self) -> np.ndarray:
@@ -215,8 +206,7 @@ class SparseGrid:
         return self.n_occupied
 
     def __iter__(self) -> Iterator[Cell]:
-        self._consolidate()
-        for row in self._coords.tolist():
+        for row in self.coords.tolist():
             yield tuple(row)
 
     def __contains__(self, cell: Cell) -> bool:
@@ -235,13 +225,11 @@ class SparseGrid:
 
     def items(self) -> Iterable[Tuple[Cell, float]]:
         """Iterate over ``(cell, density)`` pairs in lexicographic cell order."""
-        self._consolidate()
-        return list(zip(map(tuple, self._coords.tolist()), self._values.tolist()))
+        return list(zip(map(tuple, self.coords.tolist()), self.values.tolist()))
 
     def cells(self) -> List[Cell]:
         """List of occupied cell coordinates (lexicographic order)."""
-        self._consolidate()
-        return [tuple(row) for row in self._coords.tolist()]
+        return [tuple(row) for row in self.coords.tolist()]
 
     def densities(self) -> np.ndarray:
         """Densities of the occupied cells, aligned with :meth:`cells`."""
@@ -265,13 +253,12 @@ class SparseGrid:
             raise ValueError(
                 f"coords must have shape (k, {self.ndim}); got {coords.shape}."
             )
-        if len(coords):
-            shape_arr = np.asarray(self._shape, dtype=np.int64)
-            if np.any(coords < 0) or np.any(coords >= shape_arr):
-                bad = coords[np.any((coords < 0) | (coords >= shape_arr), axis=1)][0]
-                raise ValueError(
-                    f"cell {tuple(int(c) for c in bad)} is outside the grid of shape {self._shape}."
-                )
+        inside = self._codec.contains(coords)
+        if not inside.all():
+            bad = coords[~inside][0]
+            raise ValueError(
+                f"cell {tuple(int(c) for c in bad)} is outside the grid of shape {self._shape}."
+            )
         return coords
 
     def add(self, cell: Cell, density: float = 1.0) -> None:
@@ -289,12 +276,15 @@ class SparseGrid:
         values:
             Scalar or ``(k,)`` array of densities.
         """
-        coords = self._validate_coords(coords)
+        self.add_codes(self._codec.encode(self._validate_coords(coords)), values)
+
+    def add_codes(self, codes: np.ndarray, values) -> None:
+        """:meth:`add_many` for cells given by their codes in :attr:`codec`."""
         values = np.broadcast_to(
-            np.asarray(values, dtype=np.float64), (len(coords),)
+            np.asarray(values, dtype=np.float64), (len(codes),)
         ).copy()
-        if len(coords):
-            self._pending_chunks.append((np.ascontiguousarray(coords), values))
+        if len(codes):
+            self._pending_chunks.append((codes, values))
 
     def merge(self, other: "SparseGrid") -> "SparseGrid":
         """Accumulate every cell of ``other`` into this grid (in place).
@@ -311,7 +301,7 @@ class SparseGrid:
             )
         other._consolidate()
         if len(other._values):
-            self._pending_chunks.append((other._coords.copy(), other._values.copy()))
+            self._pending_chunks.append((other._codes.copy(), other._values.copy()))
         return self
 
     def set(self, cell: Cell, density: float) -> None:
@@ -328,21 +318,15 @@ class SparseGrid:
         cell = tuple(int(c) for c in cell)
         row = self._find_row(cell)
         if row >= 0:
-            self._coords = np.delete(self._coords, row, axis=0)
+            self._codes = np.delete(self._codes, row)
             self._values = np.delete(self._values, row)
-            if self._codes is not None:
-                self._codes = np.delete(self._codes, row)
+            self._coords = None
 
     def prune(self, threshold: float) -> "SparseGrid":
         """Return a new grid keeping only cells with ``density > threshold``."""
         self._consolidate()
         mask = self._values > threshold
-        return SparseGrid._from_sorted(
-            self._shape,
-            np.ascontiguousarray(self._coords[mask]),
-            self._values[mask].copy(),
-            self._codes[mask] if self._codes is not None else None,
-        )
+        return SparseGrid._from_sorted(self._shape, self._codes[mask], self._values[mask])
 
     def scale_values(self, factor: float) -> "SparseGrid":
         """Multiply every stored density by ``factor`` in place.
@@ -358,18 +342,14 @@ class SparseGrid:
     def copy(self) -> "SparseGrid":
         """Deep copy of the grid."""
         self._consolidate()
-        return SparseGrid._from_sorted(
-            self._shape,
-            self._coords.copy(),
-            self._values.copy(),
-            self._codes.copy() if self._codes is not None else None,
-        )
+        return SparseGrid._from_sorted(self._shape, self._codes.copy(), self._values.copy())
 
     def coarsen(self, factor: Union[int, Sequence[int]]) -> "SparseGrid":
         """Merge blocks of ``factor`` cells per dimension into one cell.
 
-        Coordinates are floor-divided by ``factor`` and the densities of the
-        cells landing in the same coarse cell are summed, in one ``O(m log m)``
+        Coordinates are floor-divided by ``factor`` (on the cell codes,
+        :meth:`CellCodec.coarsen_codes`) and the densities of the cells
+        landing in the same coarse cell are summed, in one ``O(m log m)``
         pass over the occupied cells -- no access to the original points.
 
         This is the exact dyadic-rescale primitive of the tuning subsystem:
@@ -403,13 +383,13 @@ class SparseGrid:
                 )
         if np.any(factors < 1):
             raise ValueError(f"every coarsening factor must be >= 1; got {factors.tolist()}.")
-        self._consolidate()
-        new_shape = tuple(
-            -(-size // int(f)) for size, f in zip(self._shape, factors)
-        )
         if np.all(factors == 1):
             return self.copy()
-        return SparseGrid.from_coo(new_shape, self._coords // factors, self._values.copy())
+        self._consolidate()
+        coarse = SparseGrid(self._codec.coarsen(factors).shape)
+        coarse.add_codes(self._codec.coarsen_codes(self._codes, factors), self._values)
+        coarse._consolidate()
+        return coarse
 
     # -- conversions -----------------------------------------------------------
 
@@ -423,7 +403,7 @@ class SparseGrid:
         self._consolidate()
         dense = np.zeros(self._shape)
         if len(self._values):
-            dense[tuple(self._coords.T)] = self._values
+            dense[tuple(self.coords.T)] = self._values
         return dense
 
     @classmethod
@@ -447,19 +427,21 @@ class SparseGrid:
         if not 0 <= axis < self.ndim:
             raise ValueError(f"axis must be in [0, {self.ndim}); got {axis}.")
         self._consolidate()
-        keys_all = np.delete(self._coords, axis, axis=1)
-        positions = self._coords[:, axis]
+        codec = self._codec
         if self.ndim == 1:
-            keys = np.empty((1 if len(positions) else 0, 0), dtype=np.int64)
-            line_ids = np.zeros(len(positions), dtype=np.int64)
-            return keys, line_ids, positions, self._values
-        order = np.lexsort((positions,) + tuple(keys_all[:, j] for j in range(self.ndim - 2, -1, -1)))
-        keys_sorted = keys_all[order]
-        if len(keys_sorted) == 0:
-            return keys_sorted, np.empty(0, dtype=np.int64), positions, self._values
-        new_line = _row_change_mask(keys_sorted)
+            keys = np.empty((1 if len(self._codes) else 0, 0), dtype=np.int64)
+            line_ids = np.zeros(len(self._codes), dtype=np.int64)
+            return keys, line_ids, codec.digit(self._codes, 0), self._values
+        line_keys, positions = codec.line_keys(self._codes, axis)
+        values = self._values
+        if axis != self.ndim - 1:
+            # Cells sorted by (line key, position): the key scaled by the
+            # line length plus the position is unique, so any sort will do.
+            order = np.argsort(line_keys * self._shape[axis] + positions)
+            line_keys, positions, values = line_keys[order], positions[order], values[order]
+        new_line = _run_starts(line_keys)
         line_ids = np.cumsum(new_line) - 1
-        return keys_sorted[new_line], line_ids, positions[order], self._values[order]
+        return codec.without(axis).decode(line_keys[new_line]), line_ids, positions, values
 
     def lines_along(self, axis: int) -> Iterator[Tuple[Cell, np.ndarray]]:
         """Iterate over the occupied 1-D lines parallel to ``axis``.
@@ -505,46 +487,17 @@ class SparseGrid:
     def neighbor_pairs(self, connectivity: str = "face") -> Tuple[np.ndarray, np.ndarray]:
         """Index pairs of adjacent occupied cells (sort-based neighbour join).
 
-        For every positive neighbour offset the occupied coordinates are
-        shifted and matched against the canonical (sorted) cell codes with a
-        binary search, so the join costs ``O(offsets * m log m)`` instead of a
-        hash probe per cell and offset.  Returns ``(a, b)`` row-index arrays
-        into :attr:`coords`; each adjacent pair appears exactly once.
+        For every positive neighbour offset the occupied cell codes are
+        shifted and matched against the canonical (sorted) codes with a
+        binary search (:meth:`CellCodec.join`), so the join costs
+        ``O(offsets * m log m)`` instead of a hash probe per cell and offset.
+        Returns ``(a, b)`` row-index arrays into :attr:`coords`; each adjacent
+        pair appears exactly once.
         """
         from repro.grid.connectivity import neighbor_offsets
 
-        self._consolidate()
         offsets = neighbor_offsets(self.ndim, connectivity)
-        sources: List[np.ndarray] = []
-        targets: List[np.ndarray] = []
-        m = len(self._values)
-        if m == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        shape_arr = np.asarray(self._shape, dtype=np.int64)
-        for offset in offsets:
-            shifted = self._coords + np.asarray(offset, dtype=np.int64)
-            in_bounds = np.all((shifted >= 0) & (shifted < shape_arr), axis=1)
-            if not in_bounds.any():
-                continue
-            src = np.flatnonzero(in_bounds)
-            if self._strides is not None:
-                codes = shifted[in_bounds] @ self._strides
-                pos = np.searchsorted(self._codes, codes)
-                pos_clipped = np.minimum(pos, m - 1)
-                found = self._codes[pos_clipped] == codes
-                sources.append(src[found])
-                targets.append(pos_clipped[found])
-            else:
-                # Lexicographic fallback: match shifted rows via a per-offset
-                # sorted merge (rare; only for astronomically large shapes).
-                for row_index, row in zip(src, shifted[in_bounds]):
-                    hit = self._find_row(tuple(int(c) for c in row))
-                    if hit >= 0:
-                        sources.append(np.array([row_index], dtype=np.int64))
-                        targets.append(np.array([hit], dtype=np.int64))
-        if not sources:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(sources), np.concatenate(targets)
+        return self._codec.join(self.codes, offsets)
 
     def total_mass(self) -> float:
         """Sum of all stored densities."""

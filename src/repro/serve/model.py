@@ -28,9 +28,10 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.grid.codec import CellCodec
 from repro.grid.lookup import NOISE_LABEL, CellLabelIndex
 from repro.grid.quantizer import GridQuantizer
-from repro.utils.validation import NotFittedError, check_array
+from repro.utils.validation import NotFittedError
 
 #: Magic string identifying a serialized ClusterModel.
 FORMAT_MAGIC = "repro.serve/cluster-model"
@@ -103,7 +104,7 @@ class ClusterModel:
             # byte-stable regardless of how the map was assembled.  Already-
             # canonical inputs (every saved artifact) are adopted as-is, so a
             # memory-mapped load keeps sharing the file's pages.
-            order = np.lexsort(coords.T[::-1])
+            order = np.argsort(CellCodec.bounding(coords).encode(coords), kind="stable")
             if not np.array_equal(order, np.arange(len(order))):
                 coords = np.ascontiguousarray(coords[order])
                 labels = labels[order]
@@ -116,14 +117,21 @@ class ClusterModel:
         object.__setattr__(self, "cell_labels", labels)
         object.__setattr__(self, "n_clusters", int(self.n_clusters))
         object.__setattr__(self, "metadata", dict(self.metadata))
-        # Derived lookup machinery, built once: predict() afterwards is a
-        # pure encode / searchsorted pass with no per-call allocation beyond
-        # the outputs.
-        object.__setattr__(
-            self, "_quantizer", GridQuantizer.from_fitted(lower, upper, grid_shape)
+        # Derived lookup machinery, built once: predict() afterwards is one
+        # fused encode of the points straight to transformed-space cell codes
+        # plus one searchsorted.  Mapped cells beyond the transformed grid
+        # the points reach are never hit, so they stay out of the index.
+        quantizer = GridQuantizer.from_fitted(lower, upper, grid_shape).coarsen(
+            2 ** int(self.level)
         )
-        object.__setattr__(self, "_index", CellLabelIndex(coords, labels))
-        object.__setattr__(self, "_factor", 2 ** int(self.level))
+        codec = quantizer.codec
+        reachable = codec.contains(coords)
+        object.__setattr__(self, "_quantizer", quantizer)
+        object.__setattr__(
+            self,
+            "_index",
+            CellLabelIndex.from_codes(codec, codec.encode(coords[reachable]), labels[reachable]),
+        )
 
     # -- introspection ---------------------------------------------------------
 
@@ -153,14 +161,6 @@ class ClusterModel:
                 "call fit() or partial_fit/finalize first."
             )
         quantization = result.quantization
-        ndim = quantization.grid.ndim
-        surviving = result.surviving_cells
-        if surviving:
-            coords = np.asarray(list(surviving.keys()), dtype=np.int64)
-            labels = np.fromiter(surviving.values(), dtype=np.int64, count=len(surviving))
-        else:
-            coords = np.empty((0, ndim), dtype=np.int64)
-            labels = np.empty(0, dtype=np.int64)
         wavelet = getattr(estimator, "wavelet_", None)
         if wavelet is None:
             spec = getattr(estimator, "wavelet", None)
@@ -200,8 +200,8 @@ class ClusterModel:
             grid_shape=quantization.grid.shape,
             level=result.level,
             threshold=result.threshold.threshold,
-            cell_coords=coords,
-            cell_labels=labels,
+            cell_coords=result.cell_coords,
+            cell_labels=result.cell_labels,
             n_clusters=result.n_clusters,
             metadata=metadata,
         )
@@ -211,17 +211,16 @@ class ClusterModel:
     def predict(self, X) -> np.ndarray:
         """Label arbitrary points in one vectorized lookup pass.
 
-        Points are quantized against the frozen bounds, mapped to
-        transformed-space cells (``// 2 ** level``) and matched against the
-        sorted cell map via a single encode / ``searchsorted`` pass.  Points
+        Points are encoded against the frozen bounds straight to the codes of
+        their transformed-space cells (original cell ``// 2 ** level``) and
+        matched against the sorted cell map with one ``searchsorted``.  Points
         in unmapped cells -- or outside the fitted bounds entirely -- get
         :data:`~repro.grid.lookup.NOISE_LABEL`.  Runs in ``O(n log k)`` for
         ``n`` points against ``k`` surviving cells and never materialises
         anything proportional to the training-set size.
         """
-        X = check_array(X, name="X", allow_empty=True)
-        cells, inside = self._quantizer.transform_with_mask(X)
-        labels = self._index.lookup(cells // self._factor)
+        codes, inside = self._quantizer.transform_with_mask(X)
+        labels = self._index.lookup(codes)
         labels[~inside] = NOISE_LABEL
         return labels
 

@@ -189,7 +189,7 @@ class StreamSketch:
     @property
     def widths(self) -> np.ndarray:
         """Per-dimension cell widths."""
-        return (self.upper - self.lower) / np.asarray(self.shape, dtype=np.float64)
+        return self._quantizer.widths_.copy()
 
     def total_mass(self) -> float:
         """Sum of stored densities (equals :attr:`n_seen` unless decayed or
@@ -199,7 +199,10 @@ class StreamSketch:
     # -- first-class operations -------------------------------------------------
 
     def ingest(self, X) -> np.ndarray:
-        """Quantize one batch into the sketch; returns the per-point cells.
+        """Quantize one batch into the sketch; returns the per-point cell codes.
+
+        The codes are in the sketch grid's codec (``sketch.grid.codec``);
+        ``codec.decode`` turns them into cell coordinates.
 
         Batches may arrive in any order and any split -- the sketch is
         associative and commutative -- but every batch must lie inside the
@@ -212,27 +215,27 @@ class StreamSketch:
                 f"batch has {X.shape[1]} features but the stream was started "
                 f"with {self.ndim}."
             )
+        codec = self._grid.codec
         if X.shape[0] == 0:
-            return np.empty((0, self.ndim), dtype=np.int64)
+            return codec.empty()
         quantizer = self._quantizer
         if np.any(X < quantizer.lower_ - 1e-12) or np.any(X > quantizer.upper_ + 1e-12):
             raise ValueError(
                 "batch contains values outside the configured bounds; streaming "
                 "quantization cannot extend the grid after the fact."
             )
-        cells = quantizer.transform(X)
+        codes = codec.encode_points(X, quantizer.lower_, quantizer.widths_)
         if self._window is None:
-            self._grid.add_many(cells, 1.0)
+            self._grid.add_codes(codes, 1.0)
         else:
-            self._window_grids.append(
-                (SparseGrid.from_coo(self.shape, cells, 1.0), X.shape[0])
-            )
+            batch_grid, _ = SparseGrid.from_point_codes(self.shape, codes)
+            self._window_grids.append((batch_grid, X.shape[0]))
             while len(self._window_grids) > self._window:
                 self._window_grids.popleft()
             self._grid_stale = True
         self.n_seen += X.shape[0]
         self.n_batches += 1
-        return cells
+        return codes
 
     def merge(self, other: "StreamSketch") -> "StreamSketch":
         """Accumulate another sketch into this one (exact shard reduction).

@@ -1,4 +1,4 @@
-"""Shared utilities: input validation, RNG handling and timing helpers."""
+"""Shared utilities: input validation and RNG handling."""
 
 from repro.utils.validation import (
     check_array,
@@ -7,7 +7,6 @@ from repro.utils.validation import (
     check_probability,
     check_random_state,
 )
-from repro.utils.timing import Stopwatch, timed
 
 __all__ = [
     "check_array",
@@ -15,6 +14,4 @@ __all__ = [
     "check_positive_int",
     "check_probability",
     "check_random_state",
-    "Stopwatch",
-    "timed",
 ]

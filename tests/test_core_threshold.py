@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.core import threshold as threshold_module
 from repro.core.threshold import (
     ThresholdDiagnostics,
     adaptive_threshold,
@@ -24,7 +26,48 @@ def three_regime_densities(rng=None, n_signal=30, n_middle=80, n_noise=600):
     return np.concatenate([signal, middle, noise])
 
 
+def _full_broadcast_breakpoints(densities, max_curve_points=400):
+    """The three-segment search scoring every breakpoint pair in one array."""
+    values = np.sort(np.asarray(densities, dtype=np.float64))[::-1]
+    curve = threshold_module._normalized_curve(values)
+    if len(curve) > max_curve_points:
+        sample_index = np.unique(
+            np.round(np.linspace(0, len(curve) - 1, max_curve_points)).astype(int)
+        )
+    else:
+        sample_index = np.arange(len(curve))
+    x, y = curve[sample_index, 0], curve[sample_index, 1]
+    n = len(sample_index)
+    prefix = {
+        key: np.concatenate([[0.0], np.cumsum(column)])
+        for key, column in (("x", x), ("y", y), ("xx", x * x), ("yy", y * y), ("xy", x * y))
+    }
+    i_candidates = np.arange(2, n - 3)
+    j_candidates = np.arange(4, n - 1)
+    head = threshold_module._segment_sse(prefix, 0, i_candidates)
+    tail = threshold_module._segment_sse(prefix, j_candidates, n)
+    middle = threshold_module._segment_sse(prefix, i_candidates[:, None], j_candidates[None, :])
+    total = head[:, None] + middle + tail[None, :]
+    total[j_candidates[None, :] < i_candidates[:, None] + 2] = np.inf
+    flat = int(np.argmin(total))
+    i = int(i_candidates[flat // len(j_candidates)])
+    j = int(j_candidates[flat % len(j_candidates)])
+    return int(sample_index[i]), int(sample_index[j])
+
+
 class TestSegmentsThreshold:
+    @given(
+        levels=st.lists(st.integers(min_value=0, max_value=6), min_size=6, max_size=900),
+        scale=st.sampled_from([1.0, 0.1, 37.5]),
+    )
+    def test_blocked_search_matches_full_broadcast(self, levels, scale):
+        """Ties, plateaus and the 400/401-point subsampling edge included."""
+        densities = np.asarray(levels, dtype=np.float64) * scale
+        result = elbow_threshold_segments(densities)
+        if result.method == "degenerate":
+            return
+        assert result.breakpoints == _full_broadcast_breakpoints(densities)
+
     def test_threshold_separates_noise_from_middle(self):
         densities = three_regime_densities()
         result = elbow_threshold_segments(densities)

@@ -40,17 +40,26 @@ def golden(request):
     return request.param, _load(request.param)
 
 
+def _cell_arrays(surviving, ndim):
+    """The reference engine's ``{cell: label}`` dict as sorted arrays."""
+    cells = sorted(surviving)
+    coords = np.asarray(cells, dtype=np.int64).reshape(len(cells), ndim)
+    labels = np.asarray([surviving[cell] for cell in cells], dtype=np.int64)
+    return coords, labels
+
+
 def _run_engine(engine, points, scale):
-    """(labels, n_clusters, threshold, surviving_cells) through either engine."""
+    """(labels, n_clusters, threshold, (cell_coords, cell_labels)) through either engine."""
     if engine == "reference":
         ref = fit_reference(points, scale=scale)
-        return ref.labels, ref.n_clusters, ref.threshold, ref.surviving_cells
+        cells = _cell_arrays(ref.surviving_cells, points.shape[1])
+        return ref.labels, ref.n_clusters, ref.threshold, cells
     model = AdaWave(scale=scale).fit(points)
     return (
         model.labels_,
         model.n_clusters_,
         model.threshold_,
-        model.result_.surviving_cells,
+        (model.result_.cell_coords, model.result_.cell_labels),
     )
 
 
@@ -82,7 +91,9 @@ class TestGoldenRegression:
             vec.labels_, ref.labels, err_msg=f"engines disagree on {name}"
         )
         assert vec.n_clusters_ == ref.n_clusters
-        assert vec.result_.surviving_cells == ref.surviving_cells
+        ref_coords, ref_labels = _cell_arrays(ref.surviving_cells, data["points"].shape[1])
+        np.testing.assert_array_equal(vec.result_.cell_coords, ref_coords)
+        np.testing.assert_array_equal(vec.result_.cell_labels, ref_labels)
 
     def test_partial_fit_matches_frozen_labels(self, golden):
         """Streaming over the golden data with the data's own bounding box

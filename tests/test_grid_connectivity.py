@@ -98,33 +98,9 @@ class TestLookupTable:
         assert LookupTable(level=1).downsample_factor == 2
         assert LookupTable(level=3).downsample_factor == 8
 
-    def test_to_transformed(self):
-        table = LookupTable(level=1)
-        assert table.to_transformed((5, 7)) == (2, 3)
-
-    def test_level_zero_is_identity(self):
-        assert LookupTable(level=0).to_transformed((5, 7)) == (5, 7)
-
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             LookupTable(level=-1)
-
-    def test_build_mapping(self):
-        table = LookupTable(level=1)
-        mapping = table.build([(0, 0), (1, 1), (2, 2)])
-        assert mapping == {(0, 0): (0, 0), (1, 1): (0, 0), (2, 2): (1, 1)}
-
-    def test_label_cells_unmatched_is_noise(self):
-        table = LookupTable(level=1)
-        labels = table.label_cells([(0, 0), (4, 4)], {(0, 0): 7})
-        assert labels[(0, 0)] == 7
-        assert labels[(4, 4)] == NOISE_LABEL
-
-    def test_label_points(self):
-        table = LookupTable(level=1)
-        point_cells = np.array([[0, 1], [2, 3], [6, 6]])
-        labels = table.label_points(point_cells, {(0, 0): 0, (1, 1): 1})
-        np.testing.assert_array_equal(labels, [0, 1, NOISE_LABEL])
 
     def test_label_points_requires_2d(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -160,7 +136,7 @@ class TestCellLabelIndex:
     def test_overflow_extent_falls_back_to_hash_table(self):
         huge = np.array([[0] * 9, [2**8] * 9], dtype=np.int64) * (2**32 // 2**8)
         index = CellLabelIndex(huge, np.array([4, 5]))
-        assert index._table is not None  # the int64-code path would collide
+        assert index.codec.exact  # int64 codes would collide
         np.testing.assert_array_equal(
             index.lookup(np.vstack([huge, np.ones((1, 9), dtype=np.int64)])),
             [4, 5, NOISE_LABEL],

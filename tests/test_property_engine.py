@@ -164,19 +164,22 @@ class TestLookupEquivalence:
     def test_label_points_matches_reference(self, points, labelled, level):
         lookup = LookupTable(level=level)
         point_cells = np.asarray(points, dtype=np.int64)
-        vectorized = lookup.label_points(point_cells, labelled)
+        label_cells = np.asarray(list(labelled), dtype=np.int64).reshape(len(labelled), 2)
+        label_values = np.asarray(list(labelled.values()), dtype=np.int64)
+        vectorized = lookup.label_points_from_arrays(point_cells, label_cells, label_values)
         looped = reference.label_points_reference(lookup, point_cells, labelled)
         np.testing.assert_array_equal(vectorized, looped)
 
     def test_label_points_survives_unencodable_extent(self):
         """Coordinates whose bounding box exceeds the int64 code range must
-        fall back to the dict path rather than silently colliding."""
+        take the exact-code path rather than silently colliding."""
         lookup = LookupTable(level=0)
         huge = 2**31
         point_cells = np.array([[0, 0], [huge, huge], [huge, 0]], dtype=np.int64)
-        labelled = {(0, 0): 3, (huge, huge): 5}
+        label_cells = np.array([[0, 0], [huge, huge]], dtype=np.int64)
         np.testing.assert_array_equal(
-            lookup.label_points(point_cells, labelled), [3, 5, -1]
+            lookup.label_points_from_arrays(point_cells, label_cells, np.array([3, 5])),
+            [3, 5, -1],
         )
 
 

@@ -8,6 +8,7 @@ training-set size.
 """
 
 import json
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -112,6 +113,16 @@ class TestClusterModelPredict:
         model = estimator.export_model()
         far = np.array([[10.0, 10.0], [-5.0, 0.5], [0.5, 2.5]])
         np.testing.assert_array_equal(model.predict(far), [-1, -1, -1])
+
+    def test_huge_finite_points_are_noise_without_cast_warning(self):
+        """|x| ~ 1e30 is clipped in float before the integer cast."""
+        rng = np.random.default_rng(11)
+        X = np.vstack([rng.normal(0.5, 0.05, size=(600, 2)), rng.uniform(size=(600, 2))])
+        model = AdaWave(scale=16).fit(X).export_model()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = model.predict(np.array([[1e30, 0.5], [-1e30, 0.5]]))
+        np.testing.assert_array_equal(labels, [-1, -1])
 
     def test_empty_query_allowed(self, fitted):
         _, estimator = fitted
