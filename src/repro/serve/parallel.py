@@ -4,19 +4,21 @@ The quantized grid is an associative, commutative sketch: quantizing two
 shards of a dataset on two workers and merging the resulting grids produces
 *exactly* the grid a single pass over the whole dataset would have produced
 (the streaming tests pin this down).  That makes ingestion embarrassingly
-parallel -- each worker runs :meth:`AdaWave.partial_fit` over its contiguous
-slice of the batch list into a private estimator, the shard streams are
-reduced with :meth:`AdaWave.merge_stream`, and one :meth:`AdaWave.finalize`
-runs the cheap grid-side stages.
+parallel -- each worker quantizes its contiguous slice of the batch list into
+a private estimator (the calling thread takes the first slice), the shard
+streams are reduced with :meth:`AdaWave.merge_stream`, and one
+:meth:`AdaWave.finalize` runs the cheap grid-side stages.
 
 Two executors are supported.  ``"thread"`` (default) uses a
 :class:`~concurrent.futures.ThreadPoolExecutor`: the hot ingestion ops
 (array copy, floor-divide quantization, the consolidation argsort) are numpy
-calls that release the GIL, so threads scale on multi-core hosts with zero
-serialization cost.  ``"process"`` uses a
-:class:`~concurrent.futures.ProcessPoolExecutor` and ships the shard batches
-to worker processes -- worthwhile when per-batch Python overhead dominates
-or true isolation is wanted.
+calls that release the GIL, but the Python code between them holds it, and
+one :meth:`AdaWave.partial_fit` per batch (validation, bounds check, per-axis
+encode: a dozen short calls) would make the shard threads take turns at the
+GIL.  So a worker quantizes its whole shard in one vectorised pass.
+``"process"`` uses a :class:`~concurrent.futures.ProcessPoolExecutor` and
+ships the other shards' batches to worker processes -- worthwhile when
+Python overhead dominates or isolation is wanted.
 """
 
 from __future__ import annotations
@@ -66,16 +68,35 @@ def _shard_batches(batches: List[np.ndarray], n_workers: int) -> List[List[np.nd
 
 
 def _ingest_shard(adawave_params: dict, shard: List[np.ndarray]) -> AdaWave:
-    """Worker body: stream one shard into a private estimator.
+    """Worker body: quantize one shard into a private estimator in one pass.
 
-    Module-level so the process executor can pickle it.  The final
-    ``n_occupied`` touch forces the sketch consolidation (the sort over the
-    shard's cells) to run *inside* the worker, where it parallelises, rather
-    than lazily during the single-threaded merge.
+    Module-level so the process executor can pickle it.  Per-batch
+    :meth:`AdaWave.partial_fit` calls hold the GIL between their numpy ops,
+    so the worker concatenates the shard's batches (a copy of its rows) and
+    quantizes them in one vectorised pass instead.  The sketch is
+    associative, so this is exact: one pass over the rows in batch order
+    yields the grid, ``n_seen_`` and per-point code order of the batch loop.
+    A shard the one pass rejects -- a 1-D batch, batches of different
+    widths, a NaN, a point outside the bounds -- is replayed batch by batch,
+    so the error raised is the one ``partial_fit`` raises for the first
+    offending batch.
+
+    The final ``n_occupied`` touch forces the sketch consolidation (the sort
+    over the shard's cells) to run *inside* the worker, where it
+    parallelises, rather than lazily during the single-threaded merge.
     """
-    estimator = AdaWave(**adawave_params)
-    for batch in shard:
-        estimator.partial_fit(batch)
+    try:
+        estimator = AdaWave(**adawave_params).partial_fit(np.concatenate(shard))
+    except ValueError:
+        estimator = None
+    if estimator is None:
+        # The batch loop is the reference: it raises the per-batch error
+        # (outside the except block, so without numpy's error chained to
+        # it) or ingests what only concatenation rejects, such as an empty
+        # batch of another width.
+        estimator = AdaWave(**adawave_params)
+        for batch in shard:
+            estimator.partial_fit(batch)
     if estimator._sketch is not None:
         estimator._sketch.grid.n_occupied
     return estimator
@@ -102,8 +123,9 @@ def parallel_ingest(
         Explicit ``(lower, upper)`` quantization bounds, as required by
         streaming ingestion -- every shard must quantize identically.
     n_workers:
-        Worker count; defaults to the host CPU count capped by the number of
-        batches.  ``1`` degenerates to a serial loop (no pool overhead).
+        Worker count, the calling thread included; defaults to the host CPU
+        count capped by the number of batches.  ``1`` ingests on the calling
+        thread alone (no pool).
     executor:
         ``"thread"`` (default) or ``"process"``.
     finalize:
@@ -139,9 +161,11 @@ def parallel_ingest(
         merged = _ingest_shard(params, batches)
     else:
         pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-        with pool_cls(max_workers=len(shards)) as pool:
-            workers = [pool.submit(_ingest_shard, params, shard) for shard in shards]
-            estimators = [worker.result() for worker in workers]
+        with pool_cls(max_workers=len(shards) - 1) as pool:
+            workers = [pool.submit(_ingest_shard, params, shard) for shard in shards[1:]]
+            # The calling thread takes the first shard rather than idle.
+            estimators = [_ingest_shard(params, shards[0])]
+            estimators += [worker.result() for worker in workers]
         # Reduce in shard order so any per-point state stays serially ordered.
         merged = estimators[0]
         for estimator in estimators[1:]:

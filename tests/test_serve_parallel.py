@@ -110,6 +110,56 @@ class TestParallelIngest:
             )
 
 
+def _one_dimensional(batch):
+    return batch[:, 0]
+
+
+def _wider(batch):
+    return np.hstack([batch, batch[:, :1]])
+
+
+def _with_nan(batch):
+    batch = batch.copy()
+    batch[0, 0] = np.nan
+    return batch
+
+
+def _outside_bounds(batch):
+    batch = batch.copy()
+    batch[0, 0] = 2.0
+    return batch
+
+
+class TestParallelIngestErrors:
+    """A bad batch raises what ``partial_fit`` raises for it, on both executors.
+
+    Workers quantize a shard in one pass over its concatenated batches; a
+    shard that pass rejects must still surface the per-batch ``ValueError``
+    of a serial stream, never numpy's concatenation error.
+    """
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize(
+        "spoil", [_one_dimensional, _wider, _with_nan, _outside_bounds]
+    )
+    def test_bad_batch_raises_partial_fit_error(self, dataset, executor, spoil):
+        batches = np.array_split(dataset, 4)
+        # Last batch of the second shard: that worker's stream has started.
+        batches[3] = spoil(batches[3])
+        serial = AdaWave(scale=64, bounds=BOUNDS)
+        with pytest.raises(ValueError) as expected:
+            for batch in batches:
+                serial.partial_fit(batch)
+        with pytest.raises(ValueError) as raised:
+            parallel_ingest(
+                batches, bounds=BOUNDS, scale=64, n_workers=2, executor=executor
+            )
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
+        # Raised afresh, not while handling numpy's concatenation error.
+        assert raised.value.__context__ is None
+
+
 class TestMergeStream:
     def test_merge_equals_single_stream(self, dataset, one_shot):
         left = AdaWave(scale=64, bounds=BOUNDS)
