@@ -34,6 +34,7 @@ from repro.experiments import (
     run_shm_throughput,
     run_tracing_overhead,
 )
+from repro.serve.parallel import resolve_n_workers
 
 PREDICT_THROUGHPUT_FLOOR = 500_000  # points / second
 PARALLEL_SPEEDUP_FLOOR = 1.5
@@ -44,9 +45,7 @@ TRACING_OVERHEAD_FLOOR = 0.95  # traced / untraced points-per-sec
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return resolve_n_workers(None)
 
 
 def test_bench_predict_throughput(benchmark):

@@ -463,7 +463,7 @@ class AdaWave:
         if best.factor > 1 and len(inverse):
             # Each base cell's row in the winning grid, gathered per point.
             coarse_codes = base_grid.codec.coarsen_codes(base_grid.codes, best.factor)
-            inverse = np.searchsorted(best.grid.codes, coarse_codes)[inverse]
+            inverse = best.grid.codec.rows(best.grid.codes, coarse_codes)[inverse]
         quantization = QuantizationResult(
             grid=best.grid,
             inverse=inverse,
@@ -666,7 +666,7 @@ class AdaWave:
         # quantization inverse of the whole stream.
         chunks = self._stream_cell_chunks
         inverse = (
-            np.searchsorted(grid.codes, np.concatenate(chunks))
+            grid.codec.rows(grid.codes, np.concatenate(chunks))
             if chunks
             else np.empty(0, dtype=np.int64)
         )
@@ -766,7 +766,8 @@ class AdaWave:
 
         A pure lookup: points are quantized with the fitted bounds, mapped to
         transformed-space cells and matched against the surviving-cell index
-        in one encode / ``searchsorted`` pass.  Points in unmapped cells --
+        in one encode and one :meth:`~repro.grid.codec.CellCodec.rows` pass
+        (see :meth:`repro.serve.ClusterModel.predict`).  Points in unmapped cells --
         including anything outside the fitted bounds -- get the noise label.
         Requires :meth:`fit` or :meth:`finalize` first; never touches the
         training points.

@@ -6,6 +6,16 @@ order.  Boxes of :data:`MAX_ENCODABLE` cells or more (e.g. 128 intervals in
 9+ dimensions) keep exact Python-int codes in ``object`` arrays, on which
 sorting, ``searchsorted`` and decoding behave the same: one code path serves
 both regimes.
+
+The codec also owns the two point-side primitives of the grid layer,
+:meth:`CellCodec.group` (codes -> occupied cells, their counts and each
+code's cell row) and :meth:`CellCodec.rows` (codes -> their row, or label, in
+a sorted set of cells), and with them the one choice between counting and
+sorting.  The size rule: when the box has at most ``max(8 * n, 2**16)`` cells
+for ``n`` codes, a table over the whole code space costs no more than the
+codes themselves, so codes are counted (``np.bincount``) and looked up by one
+gather from that table, in linear time; larger boxes, and always the exact
+regime, sort (``argsort`` / ``searchsorted``).  Both give identical results.
 """
 
 from __future__ import annotations
@@ -16,6 +26,68 @@ import numpy as np
 
 #: Box size from which codes no longer fit int64 and become Python ints.
 MAX_ENCODABLE = 2**62
+
+#: The size rule's constants (see the module docstring): count ``n`` codes
+#: when the box has at most ``max(COUNT_RATIO * n, COUNT_FLOOR)`` cells.
+COUNT_RATIO = 8
+COUNT_FLOOR = 2**16
+
+
+def run_starts(sorted_codes: np.ndarray) -> np.ndarray:
+    """Boolean mask marking the first code of every run of equal sorted codes."""
+    mask = np.empty(len(sorted_codes), dtype=bool)
+    mask[:1] = True
+    mask[1:] = sorted_codes[1:] != sorted_codes[:-1]
+    return mask
+
+
+def _sort_group(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`CellCodec.group` by sorting (any codes, either regime)."""
+    # Equal codes are interchangeable, so the sort need not be stable.
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+    first = run_starts(sorted_codes)
+    starts = np.flatnonzero(first)
+    inverse = np.empty(len(codes), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    counts = np.diff(np.append(starts, len(codes)))
+    return sorted_codes[starts], counts, inverse
+
+
+def _count_group(codes: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`CellCodec.group` by counting int64 codes in ``[0, size)``."""
+    table = np.bincount(codes, minlength=size)
+    cells = np.flatnonzero(table)
+    counts = table[cells]
+    # The count table becomes the rank table: each occupied code's row.
+    table[cells] = np.arange(len(cells))
+    return cells, counts, table.take(codes)
+
+
+def _sort_rows(keys: np.ndarray, codes: np.ndarray, values: Optional[np.ndarray]) -> np.ndarray:
+    """:meth:`CellCodec.rows` by binary search (any codes, either regime)."""
+    rows = np.full(len(codes), -1, dtype=np.int64)
+    if not len(keys) or not len(codes):
+        return rows
+    pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
+    found = keys[pos] == codes
+    rows[found] = pos[found] if values is None else values[pos[found]]
+    return rows
+
+
+def _count_rows(
+    keys: np.ndarray, codes: np.ndarray, values: Optional[np.ndarray], size: int
+) -> np.ndarray:
+    """:meth:`CellCodec.rows` by one gather from a table over ``[0, size)``."""
+    table = np.full(size, -1, dtype=np.int64)
+    table[keys] = np.arange(len(keys)) if values is None else values
+    # Negative codes wrap to huge unsigned ones: one test catches both sides.
+    inside = codes.view(np.uint64) < size
+    if inside.all():
+        return table.take(codes)
+    rows = np.full(len(codes), -1, dtype=np.int64)
+    rows[inside] = table.take(codes[inside])
+    return rows
 
 
 class CellCodec:
@@ -30,7 +102,7 @@ class CellCodec:
         grid of ``shape`` intervals).
     """
 
-    __slots__ = ("shape", "origin", "strides", "dtype")
+    __slots__ = ("shape", "origin", "strides", "size", "dtype")
 
     def __init__(self, shape: Sequence[int], origin: Optional[Sequence[int]] = None) -> None:
         shape = tuple(int(s) for s in shape)
@@ -42,6 +114,7 @@ class CellCodec:
         size = strides[0] * shape[0] if shape else 1
         self.shape = shape
         self.strides = tuple(strides)
+        self.size = size
         self.origin = np.asarray([0] * len(shape) if origin is None else origin, dtype=np.int64)
         self.dtype = np.dtype(np.int64) if size < MAX_ENCODABLE else np.dtype(object)
 
@@ -77,13 +150,22 @@ class CellCodec:
     # -- encode / decode ----------------------------------------------------------
 
     def _compose(self, digits: Iterable[np.ndarray], n: int) -> np.ndarray:
-        """Codes of the cells whose box-relative coordinates are ``digits``."""
-        codes = np.zeros(n, dtype=self.dtype)
+        """Codes of the cells whose box-relative coordinates are ``digits``.
+
+        Every digit array must be fresh: it is scaled in place and the first
+        one becomes the result.
+        """
+        codes = None
         for digit, stride in zip(digits, self.strides):
             if self.exact:
                 digit = digit.astype(object)
-            codes += digit * stride if stride != 1 else digit
-        return codes
+            if stride != 1:
+                digit *= stride
+            if codes is None:
+                codes = digit
+            else:
+                codes += digit
+        return np.zeros(n, dtype=self.dtype) if codes is None else codes
 
     def digit(self, codes: np.ndarray, axis: int) -> np.ndarray:
         """Box-relative int64 coordinate along ``axis`` of every code."""
@@ -129,6 +211,38 @@ class CellCodec:
                 yield digit.astype(np.int64)
 
         return self._compose(digits(), len(X))
+
+    # -- grouping and lookup ------------------------------------------------------
+
+    def _counts(self, n: int) -> bool:
+        """The size rule: whether ``n`` codes go through a code-space table."""
+        return not self.exact and self.size <= max(COUNT_RATIO * n, COUNT_FLOOR)
+
+    def group(self, codes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(cells, counts, inverse)`` of the codes of cells inside the box.
+
+        ``cells`` are the sorted unique codes, ``counts`` (int64) how often
+        each occurs and ``inverse`` (int64) every code's row in ``cells``, so
+        ``cells[inverse]`` gives the codes back.  Counted or sorted by the
+        size rule, with identical results.
+        """
+        codes = np.asarray(codes, dtype=self.dtype)
+        if self._counts(len(codes)):
+            return _count_group(codes, self.size)
+        return _sort_group(codes)
+
+    def rows(self, keys: np.ndarray, codes, values: Optional[np.ndarray] = None) -> np.ndarray:
+        """Row of every code among the sorted unique ``keys``, -1 where absent.
+
+        With ``values`` (aligned with ``keys``) each code gets its key's value
+        instead of its row.  Codes not among the keys, including codes
+        outside the box, get -1 (the noise label).  Looked up by one gather
+        from a code-space table or by binary search, per the size rule.
+        """
+        codes = np.asarray(codes, dtype=self.dtype)
+        if self._counts(len(codes)):
+            return _count_rows(keys, codes, values, self.size)
+        return _sort_rows(keys, codes, values)
 
     # -- arithmetic on codes --------------------------------------------------------
 

@@ -15,6 +15,8 @@ import numpy as np
 
 from repro.grid.codec import CellCodec
 
+#: Label of unclustered points; also what :meth:`CellCodec.rows` gives codes
+#: without a labelled cell.
 NOISE_LABEL = -1
 
 
@@ -24,13 +26,14 @@ class CellLabelIndex:
     The index is the heart of the lookup-only ("serving") path: it stores the
     ``(k, d)`` labelled transformed cells as codes of a
     :class:`~repro.grid.codec.CellCodec` sorted once at construction, so
-    labelling ``n`` query cells afterwards is a single encode /
-    ``searchsorted`` / fancy-index pass costing ``O(n log k)`` time and
-    ``O(k)`` resident memory -- it never grows with the training-set size.
-    Cells outside the index (including anything outside the bounding box of
-    the labelled cells) map to :data:`NOISE_LABEL`.  Astronomically large
-    extents (e.g. 128 intervals in 9+ dimensions) run the same path on the
-    codec's exact Python-int codes.
+    labelling ``n`` query cells afterwards is one encode plus one
+    :meth:`CellCodec.rows` pass -- a gather from a label table over the
+    codec's box, or a binary search over the ``k`` codes, as the codec's size
+    rule picks -- holding ``O(k)`` resident memory that never grows with the
+    training-set size.  Cells outside the index (including anything outside
+    the bounding box of the labelled cells) map to :data:`NOISE_LABEL`.
+    Astronomically large extents (e.g. 128 intervals in 9+ dimensions) run
+    the same path on the codec's exact Python-int codes.
 
     Parameters
     ----------
@@ -86,16 +89,13 @@ class CellLabelIndex:
             raise ValueError(
                 f"query cells must have shape (n, {self.ndim}); got {cells.shape}."
             )
-        labels = np.full(len(cells), NOISE_LABEL, dtype=np.int64)
         if self.n_cells == 0 or len(cells) == 0:
-            return labels
-        rows, codes = None, cells
-        if cells.ndim == 2:
-            rows = np.flatnonzero(self.codec.contains(cells))
-            codes = self.codec.encode(cells[rows])
-        pos = np.minimum(np.searchsorted(self._codes, codes), self.n_cells - 1)
-        found = self._codes[pos] == codes
-        labels[found if rows is None else rows[found]] = self._values[pos[found]]
+            return np.full(len(cells), NOISE_LABEL, dtype=np.int64)
+        if cells.ndim == 1:
+            return self.codec.rows(self._codes, cells, self._values)
+        labels = np.full(len(cells), NOISE_LABEL, dtype=np.int64)
+        rows = np.flatnonzero(self.codec.contains(cells))
+        labels[rows] = self.codec.rows(self._codes, self.codec.encode(cells[rows]), self._values)
         return labels
 
 
@@ -140,9 +140,9 @@ class LookupTable:
         fit passes the *occupied* cells and gathers their labels through the
         quantization inverse.  ``label_cells`` is the ``(k, d)`` array of
         labelled transformed cells and ``label_values`` the matching ``(k,)``
-        labels.  All cells are mapped in a single encode / ``searchsorted`` /
-        fancy-index pass through a throwaway :class:`CellLabelIndex`; cells
-        without a labelled counterpart get :data:`NOISE_LABEL`.
+        labels.  All cells are mapped in one encode / lookup pass through a
+        throwaway :class:`CellLabelIndex`; cells without a labelled
+        counterpart get :data:`NOISE_LABEL`.
         """
         transformed = self.to_transformed_many(point_cells)
         label_cells = np.asarray(label_cells, dtype=np.int64)

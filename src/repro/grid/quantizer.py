@@ -3,9 +3,11 @@
 The quantizer divides the domain of every dimension into ``scale`` intervals,
 assigns each object to the grid cell containing it and accumulates cell
 densities into a :class:`~repro.grid.sparse_grid.SparseGrid`.  Each point is
-encoded once, from float straight to cell code, and the sort grouping the
-codes also yields each point's occupied-cell row (the *quantization
-inverse*): all the lookup-table step needs to label the objects.
+encoded once, from float straight to cell code, and the pass grouping the
+codes (:meth:`~repro.grid.codec.CellCodec.group`: a count over the code space
+for bounded grids, a sort otherwise) also yields each point's occupied-cell
+row (the *quantization inverse*): all the lookup-table step needs to label
+the objects.  Bounds and bounds checks walk the data one column at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +20,26 @@ import numpy as np
 from repro.grid.codec import CellCodec
 from repro.grid.sparse_grid import SparseGrid
 from repro.utils.validation import check_array, check_positive_int, column_or_row
+
+
+def column_extents(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-column minima and maxima of the ``(n, d)`` samples ``X``.
+
+    Reduced one column at a time: ``X.min(axis=0)`` on a C-ordered array
+    walks its rows ``d`` values at a time, an order of magnitude slower.
+    """
+    mins = np.array([column.min() for column in X.T])
+    maxs = np.array([column.max() for column in X.T])
+    return mins, maxs
+
+
+def outside_bounds(
+    extents: Tuple[np.ndarray, np.ndarray], lower: np.ndarray, upper: np.ndarray
+) -> bool:
+    """Whether samples with :func:`column_extents` ``extents`` leave
+    ``[lower, upper]`` by more than 1e-12."""
+    mins, maxs = extents
+    return bool(np.any(mins < lower - 1e-12) or np.any(maxs > upper + 1e-12))
 
 
 @dataclass
@@ -98,6 +120,7 @@ class GridQuantizer:
         X = check_array(X, name="X")
         n_features = X.shape[1]
         self.shape_ = self._resolve_scale(n_features)
+        extents = column_extents(X)
         if self.bounds is not None:
             lower = column_or_row(self.bounds[0], n_features, name="bounds[0]")
             upper = column_or_row(self.bounds[1], n_features, name="bounds[1]")
@@ -108,8 +131,7 @@ class GridQuantizer:
                     f"({upper[bad]}) must be strictly greater than lower ({lower[bad]})."
                 )
         else:
-            lower = X.min(axis=0)
-            upper = X.max(axis=0)
+            lower, upper = extents
         span = upper - lower
         # Degenerate (constant) dimensions get a unit span so every point
         # lands in interval 0 instead of dividing by zero.
@@ -117,7 +139,7 @@ class GridQuantizer:
         # Expand the top edge slightly: paper intervals are right-open, so the
         # maximum value must fall strictly inside the last cell.
         upper = lower + span * (1.0 + 1e-9)
-        if np.any(X < lower - 1e-12) or np.any(X > upper + 1e-12):
+        if outside_bounds(extents, lower, upper):
             raise ValueError("some samples fall outside the provided bounds.")
         self.lower_ = np.asarray(lower, dtype=np.float64)
         self.upper_ = np.asarray(upper, dtype=np.float64)

@@ -23,17 +23,9 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from repro.grid.codec import CellCodec
+from repro.grid.codec import CellCodec, run_starts
 
 Cell = Tuple[int, ...]
-
-
-def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
-    """Boolean mask marking the first code of every run of equal sorted codes."""
-    mask = np.empty(len(sorted_codes), dtype=bool)
-    mask[:1] = True
-    mask[1:] = sorted_codes[1:] != sorted_codes[:-1]
-    return mask
 
 
 class SparseGrid:
@@ -86,19 +78,12 @@ class SparseGrid:
         """Count unit-mass points given by their cell codes (Algorithm 2).
 
         Returns the grid and the quantization inverse: every point's row in
-        the grid's canonical arrays, read off the same sort that groups the
-        points, so a per-cell quantity reaches the points with one gather.
-        Points of one cell all carry mass 1, so the order inside a run of
-        equal codes is irrelevant and the sort need not be stable.
+        the grid's canonical arrays, read off the same :meth:`CellCodec.group`
+        pass that counts the points, so a per-cell quantity reaches the
+        points with one gather.
         """
-        order = np.argsort(codes)
-        sorted_codes = codes[order]
-        first = _run_starts(sorted_codes)
-        starts = np.flatnonzero(first)
-        inverse = np.empty(len(codes), dtype=np.int64)
-        inverse[order] = np.cumsum(first) - 1
-        counts = np.diff(np.append(starts, len(codes))).astype(np.float64)
-        return cls._from_sorted(shape, sorted_codes[starts], counts), inverse
+        cells, counts, inverse = CellCodec(shape).group(codes)
+        return cls._from_sorted(shape, cells, counts.astype(np.float64)), inverse
 
     @classmethod
     def _from_sorted(cls, shape: Sequence[int], codes, values) -> "SparseGrid":
@@ -133,7 +118,7 @@ class SparseGrid:
         # Stable, so duplicate densities are summed in insertion order.
         order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
-        starts = np.flatnonzero(_run_starts(sorted_codes))
+        starts = np.flatnonzero(run_starts(sorted_codes))
         self._values = np.add.reduceat(values[order], starts)
         self._codes = sorted_codes[starts]
         self._coords = None
@@ -439,7 +424,7 @@ class SparseGrid:
             # line length plus the position is unique, so any sort will do.
             order = np.argsort(line_keys * self._shape[axis] + positions)
             line_keys, positions, values = line_keys[order], positions[order], values[order]
-        new_line = _run_starts(line_keys)
+        new_line = run_starts(line_keys)
         line_ids = np.cumsum(new_line) - 1
         return codec.without(axis).decode(line_keys[new_line]), line_ids, positions, values
 

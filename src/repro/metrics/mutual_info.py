@@ -9,7 +9,6 @@ information and the adjusted Rand index.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.metrics.contingency import contingency_matrix, entropy_from_counts
 
@@ -42,6 +41,9 @@ def expected_mutual_info(row_sums: np.ndarray, col_sums: np.ndarray) -> float:
     all feasible ``n_ij``.  Log-gamma arithmetic keeps the factorial ratios
     stable for the dataset sizes used in the experiments.
     """
+    # Imported here, its only use, so ``import repro`` does not load scipy.
+    from scipy.special import gammaln
+
     row_sums = np.asarray(row_sums, dtype=np.float64)
     col_sums = np.asarray(col_sums, dtype=np.float64)
     total = row_sums.sum()

@@ -9,7 +9,7 @@ serving stack:
 * :class:`ClusterModel` -- the frozen artifact, with versioned
   ``save``/``load`` (npz + JSON header; ``load(mmap=True)`` memory-maps
   uncompressed artifacts so co-located processes share pages) and
-  ``O(n log cells)`` ``predict``;
+  lookup-only ``predict``;
 * :class:`ModelRegistry` -- a thread-safe map of named models with atomic
   hot-swap semantics: blue/green versioned :meth:`~ModelRegistry.swap`
   (readers never observe a missing model) plus ``max_versions`` / TTL

@@ -299,21 +299,23 @@ class Telemetry:
         if not trace.closed:
             trace.close()
         total = float(trace.total_seconds or 0.0)
-        bad = trace.error is not None or trace.deadline_violated
+        violated = trace.deadline_violated
+        bad = trace.error is not None or violated
         # The span dict is only materialised for traces that are actually
         # captured (bad, or slow enough to enter the heap) -- the steady
         # state is a fast path of counter bumps and histogram updates.
         entry = trace.to_dict() if bad else None
         with self._lock:
+            stages = self._stages
             for span in trace.spans:
-                series = self._stages.get(span.stage)
+                series = stages.get(span.stage)
                 if series is None:
-                    series = self._stages[span.stage] = _StageSeries()
-                series.observe(span.seconds)
+                    series = stages[span.stage] = _StageSeries()
+                series.observe(span.end - span.start)
             self._trace_count += 1
             if trace.error is not None:
                 self._trace_errors += 1
-            if trace.deadline_violated:
+            if violated:
                 self._trace_violations += 1
             if bad:
                 self._bad_traces.append(entry)

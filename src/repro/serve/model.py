@@ -119,8 +119,8 @@ class ClusterModel:
         object.__setattr__(self, "metadata", dict(self.metadata))
         # Derived lookup machinery, built once: predict() afterwards is one
         # fused encode of the points straight to transformed-space cell codes
-        # plus one searchsorted.  Mapped cells beyond the transformed grid
-        # the points reach are never hit, so they stay out of the index.
+        # plus one lookup in the index.  Mapped cells beyond the transformed
+        # grid the points reach are never hit, so they stay out of the index.
         quantizer = GridQuantizer.from_fitted(lower, upper, grid_shape).coarsen(
             2 ** int(self.level)
         )
@@ -213,11 +213,13 @@ class ClusterModel:
 
         Points are encoded against the frozen bounds straight to the codes of
         their transformed-space cells (original cell ``// 2 ** level``) and
-        matched against the sorted cell map with one ``searchsorted``.  Points
-        in unmapped cells -- or outside the fitted bounds entirely -- get
-        :data:`~repro.grid.lookup.NOISE_LABEL`.  Runs in ``O(n log k)`` for
-        ``n`` points against ``k`` surviving cells and never materialises
-        anything proportional to the training-set size.
+        looked up in the cell map by
+        :meth:`~repro.grid.codec.CellCodec.rows`: one gather from a label
+        table over the transformed grid, ``O(n)`` for ``n`` points, or a
+        binary search over the ``k`` surviving cells, ``O(n log k)``, as the
+        codec's size rule picks.  Points in unmapped cells -- or outside the
+        fitted bounds entirely -- get :data:`~repro.grid.lookup.NOISE_LABEL`.
+        Never materialises anything proportional to the training-set size.
         """
         codes, inside = self._quantizer.transform_with_mask(X)
         labels = self._index.lookup(codes)

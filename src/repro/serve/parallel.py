@@ -35,15 +35,19 @@ _EXECUTORS = ("thread", "process")
 
 
 def resolve_n_workers(n_workers: Optional[int], *, n_tasks: Optional[int] = None) -> int:
-    """Validated worker count, defaulting to the host CPU count.
+    """Validated worker count, defaulting to the CPUs this process may use.
 
-    ``None`` resolves to ``os.cpu_count()`` capped by ``n_tasks`` when
-    given; explicit counts below one are rejected.  Shared by
-    :func:`parallel_ingest` and the multi-process serving pool so the two
-    tiers size themselves identically.
+    ``None`` resolves to the size of the process's CPU affinity set
+    (``os.sched_getaffinity``; ``os.cpu_count()`` where the OS has none),
+    capped by ``n_tasks`` when given; explicit counts below one are
+    rejected.  Shared by :func:`parallel_ingest` and the multi-process
+    serving pool so the two tiers size themselves identically.
     """
     if n_workers is None:
-        n_workers = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            n_workers = len(os.sched_getaffinity(0))
+        else:
+            n_workers = os.cpu_count() or 1
         if n_tasks is not None:
             n_workers = min(n_workers, n_tasks)
     n_workers = int(n_workers)

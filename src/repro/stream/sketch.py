@@ -25,7 +25,7 @@ from typing import Deque, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.grid.quantizer import GridQuantizer
+from repro.grid.quantizer import GridQuantizer, column_extents, outside_bounds
 from repro.grid.sparse_grid import SparseGrid
 from repro.utils.validation import check_array, check_positive_int, column_or_row
 
@@ -219,16 +219,18 @@ class StreamSketch:
         if X.shape[0] == 0:
             return codec.empty()
         quantizer = self._quantizer
-        if np.any(X < quantizer.lower_ - 1e-12) or np.any(X > quantizer.upper_ + 1e-12):
+        if outside_bounds(column_extents(X), quantizer.lower_, quantizer.upper_):
             raise ValueError(
                 "batch contains values outside the configured bounds; streaming "
                 "quantization cannot extend the grid after the fact."
             )
         codes = codec.encode_points(X, quantizer.lower_, quantizer.widths_)
+        # Folded to its occupied cells first, so the sketch's pending state
+        # grows with the cells a batch touches, never with its points.
+        batch_grid, _ = SparseGrid.from_point_codes(self.shape, codes)
         if self._window is None:
-            self._grid.add_codes(codes, 1.0)
+            self._grid.merge(batch_grid)
         else:
-            batch_grid, _ = SparseGrid.from_point_codes(self.shape, codes)
             self._window_grids.append((batch_grid, X.shape[0]))
             while len(self._window_grids) > self._window:
                 self._window_grids.popleft()

@@ -1,5 +1,10 @@
 """Tests for repro.metrics: contingency, (adjusted) mutual information, ARI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -187,3 +192,16 @@ class TestNoiseAwareProtocol:
         labels_pred = [0, 1, 1, 1]
         scores = evaluate_clustering(labels_true, labels_pred, restrict_to_true_clusters=False)
         assert 0.0 <= scores.ami <= 1.0
+
+
+def test_import_repro_does_not_load_scipy():
+    """scipy is loaded by the AMI computation that needs it, not by
+    ``import repro``: a cold start pays only for what it uses."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, repro; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

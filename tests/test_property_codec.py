@@ -11,13 +11,26 @@ property runs on int64 codes and on the exact Python-int codes boxes of
   followed by ``encode``, also through ``GridQuantizer.coarsen``;
 * coarsening on codes equals coarsening on coordinates;
 * the code-based line grouping equals a row-lexsort grouping;
-* the sort-based neighbour join finds exactly the brute-force pairs.
+* the sort-based neighbour join finds exactly the brute-force pairs;
+* counting codes (``group``) and looking them up through a code-space
+  table (``rows``) give exactly what sorting and binary search give, dtypes
+  included, on both sides of the size rule.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.grid.codec import MAX_ENCODABLE, CellCodec
+from repro.grid.codec import (
+    COUNT_FLOOR,
+    COUNT_RATIO,
+    MAX_ENCODABLE,
+    CellCodec,
+    _count_group,
+    _count_rows,
+    _sort_group,
+    _sort_rows,
+)
 from repro.grid.connectivity import neighbor_offsets
 from repro.grid.quantizer import GridQuantizer
 from repro.grid.sparse_grid import SparseGrid
@@ -159,3 +172,93 @@ def test_join_finds_exactly_the_brute_force_pairs(data, connectivity):
     }
     assert found == expected
     assert len(found) == len(sources)
+
+
+# -- counting == sorting -------------------------------------------------------
+
+#: Shapes on both sides of the size rule's 2**16 floor, 1-D to 4-D, and one
+#: box in the exact (Python-int) regime.
+RULE_SHAPES = [
+    (1,), (7,), (2**16,), (2**16 + 1,), (16, 16), (128, 128), (256, 257),
+    (12, 9, 5), (40, 40, 41), (16, 16, 16, 16), (17, 16, 16, 16), (2**31, 2**31, 3),
+]
+
+
+@st.composite
+def code_draws(draw):
+    """(codec, codes): codes of cells inside a box, duplicates included.
+
+    ``n`` reaches past ``2**16 / 8`` so the ``8 * n`` arm of the size rule
+    counts boxes above the floor, and draws concentrate on a few cells or
+    spread over the whole box.
+    """
+    codec = CellCodec(draw(st.sampled_from(RULE_SHAPES)))
+    n = draw(st.sampled_from([0, 1, 2, 17, 300, 9_000, 40_000]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    spread = draw(st.sampled_from([1, 5, None]))
+    high = codec.size if spread is None else min(codec.size, spread)
+    if codec.exact:
+        digits = [rng.integers(0, min(size, 2**40), size=n) for size in codec.shape]
+        codes = codec.encode(np.column_stack(digits).reshape(n, codec.ndim))
+    else:
+        codes = rng.integers(0, high, size=n)
+    return codec, codes
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for mine, theirs in zip(got, want):
+        assert mine.dtype == theirs.dtype
+        np.testing.assert_array_equal(mine, theirs)
+
+
+@given(data=code_draws())
+def test_counted_group_equals_sorted_group(data):
+    codec, codes = data
+    want = _sort_group(codes)
+    cells, counts, inverse = want
+    np.testing.assert_array_equal(cells[inverse], codes)
+    assert counts.sum() == len(codes)
+    _assert_same(codec.group(codes), want)
+    if not codec.exact:
+        _assert_same(_count_group(codes, codec.size), want)
+
+
+@given(data=code_draws(), key_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_counted_rows_equal_sorted_rows(data, key_seed):
+    codec, codes = data
+    rng = np.random.default_rng(key_seed)
+    # Keys: a random part of the queried cells plus cells nobody queries,
+    # so queries hit present and absent keys alike.
+    keys = np.unique(codes[rng.random(len(codes)) < 0.5])
+    if not codec.exact and codec.size > 2:
+        keys = np.union1d(keys, rng.integers(0, codec.size, size=3))
+    values = rng.integers(0, 9, size=len(keys))
+    queries = codes
+    if not codec.exact:
+        # Codes outside the box: negative and past its last cell.
+        queries = np.concatenate([codes, [-1, -(2**40), codec.size, codec.size + 5]])
+    for labels in (None, values):
+        want = _sort_rows(keys, queries, labels)
+        table = dict(zip(keys.tolist(), range(len(keys)) if labels is None else labels.tolist()))
+        np.testing.assert_array_equal(want, [table.get(code, -1) for code in queries.tolist()])
+        _assert_same([codec.rows(keys, queries, labels)], [want])
+        if not codec.exact:
+            _assert_same([_count_rows(keys, queries, labels, codec.size)], [want])
+
+
+@pytest.mark.parametrize(
+    "shape, n, counts",
+    [
+        ((COUNT_FLOOR,), 0, True),                         # boxes up to the floor count
+        ((COUNT_FLOOR + 1,), 1, False),                    # past it, few codes sort
+        ((COUNT_RATIO * 10_000,), 10_000, True),           # ... and enough codes count
+        ((COUNT_RATIO * 10_000 + 1,), 10_000, False),
+        ((128, 128), 1_000_000, True),                     # a 2-D fit at scale 128
+        ((32,) * 4, 200_000, True),                        # a 4-D fit at scale 32
+        ((32,) * 4, 25_000, False),                        # a 25k-point 4-D batch sorts
+        ((2**31, 2**31, 3), 10**9, False),                 # the exact regime always sorts
+    ],
+)
+def test_size_rule_sides(shape, n, counts):
+    assert CellCodec(shape)._counts(n) == counts

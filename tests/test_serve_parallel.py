@@ -7,12 +7,15 @@ executors, for `AdaWave.merge_stream` directly, and for the parallel
 `BatchRunner.run_many` fan-out.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from repro import BatchRunner
 from repro.core.adawave import AdaWave
 from repro.serve import parallel_ingest
+from repro.serve.parallel import resolve_n_workers
 
 BOUNDS = ([0.0, 0.0], [1.0, 1.0])
 
@@ -108,6 +111,26 @@ class TestParallelIngest:
             parallel_ingest(
                 np.array_split(dataset, 2), bounds=BOUNDS, scale=64, n_workers=0
             )
+
+
+class TestResolveWorkers:
+    """``None`` sizes a pool by the CPUs the process may run on."""
+
+    def test_default_counts_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_n_workers(None) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert resolve_n_workers(None) == 3
+        assert resolve_n_workers(None, n_tasks=2) == 2
+        assert resolve_n_workers(5) == 5
+
+    def test_default_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert resolve_n_workers(None) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_n_workers(None) == 1
 
 
 def _one_dimensional(batch):

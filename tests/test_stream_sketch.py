@@ -57,6 +57,20 @@ class TestIngest:
         with pytest.raises(ValueError, match="features"):
             sketch.ingest(np.zeros((3, 3)))
 
+    def test_lookup_only_pending_state_follows_occupied_cells(self):
+        """50 lookup-only batches of 20k uniform points into a 64**2 grid
+        keep at most one pending entry per occupied cell and batch
+        (50 * 4096), never one per point (10**6 entries, 16 MB)."""
+        rng = np.random.default_rng(3)
+        model = AdaWave(scale=64, bounds=BOUNDS, lookup_only=True)
+        for _ in range(50):
+            model.partial_fit(rng.uniform(size=(20_000, 2)))
+        pending = model._sketch.grid._pending_chunks
+        assert sum(len(codes) for codes, _ in pending) <= 50 * 64 * 64
+        assert sum(codes.nbytes + values.nbytes for codes, values in pending) <= 50 * 64 * 64 * 16
+        assert model._sketch.total_mass() == 50 * 20_000
+        assert model.finalize().labels_.shape == (0,)
+
     def test_requires_bounds(self):
         with pytest.raises(ValueError, match="bounds"):
             StreamSketch(None, 64, 2)
@@ -147,6 +161,18 @@ class TestDecayAndSnapshot:
         sketch.decay(0.5)
         assert sketch.total_mass() == pytest.approx(len(points) / 2)
         assert sketch.n_seen == len(points)  # raw counter untouched
+
+    def test_decayed_cell_plus_a_batch_is_one_addition(self):
+        """A batch joins the sketch as per-cell counts: a decayed density v
+        plus k points of the next batch becomes ``v + k``, one rounding,
+        where adding k unit masses one at a time would round k times."""
+        v, k = 0.7285605268117946, 5
+        assert v + k != ((((v + 1.0) + 1.0) + 1.0) + 1.0) + 1.0
+        sketch = StreamSketch(([0.0], [1.0]), 4, 1)
+        sketch.ingest(np.full((1, 1), 0.1))
+        sketch.decay(v)
+        sketch.ingest(np.full((k, 1), 0.1))
+        np.testing.assert_array_equal(sketch.grid.values, [v + k])
 
     def test_decay_validates_factor(self):
         sketch = StreamSketch(BOUNDS, 64, 2)
