@@ -28,10 +28,11 @@ class CellLabelIndex:
     :class:`~repro.grid.codec.CellCodec` sorted once at construction, so
     labelling ``n`` query cells afterwards is one encode plus one
     :meth:`CellCodec.rows` pass -- a gather from a label table over the
-    codec's box, or a binary search over the ``k`` codes, as the codec's size
-    rule picks -- holding ``O(k)`` resident memory that never grows with the
-    training-set size.  Cells outside the index (including anything outside
-    the bounding box of the labelled cells) map to :data:`NOISE_LABEL`.
+    codec's box, or a binary search over the ``k`` codes, as the codec's
+    lookup size rule picks -- holding ``O(k)`` resident memory that never
+    grows with the training-set size.  Cells outside the index (including
+    anything outside the bounding box of the labelled cells) map to
+    :data:`NOISE_LABEL`.
     Astronomically large extents (e.g. 128 intervals in 9+ dimensions) run
     the same path on the codec's exact Python-int codes.
 

@@ -133,11 +133,15 @@ class GridQuantizer:
         else:
             lower, upper = extents
         span = upper - lower
-        # Degenerate (constant) dimensions get a unit span so every point
-        # lands in interval 0 instead of dividing by zero.
+        # Degenerate dimensions -- constant, or so narrow (a subnormal span)
+        # that the cell width underflows to zero -- get a unit span so every
+        # point lands in interval 0 instead of dividing by zero.
+        shape = np.asarray(self.shape_, dtype=np.float64)
         span = np.where(span <= 0, 1.0, span)
         # Expand the top edge slightly: paper intervals are right-open, so the
         # maximum value must fall strictly inside the last cell.
+        upper = lower + span * (1.0 + 1e-9)
+        span = np.where((upper - lower) / shape > 0, span, 1.0)
         upper = lower + span * (1.0 + 1e-9)
         if outside_bounds(extents, lower, upper):
             raise ValueError("some samples fall outside the provided bounds.")

@@ -74,16 +74,19 @@ class SparseGrid:
         return grid
 
     @classmethod
-    def from_point_codes(cls, shape: Sequence[int], codes) -> Tuple["SparseGrid", np.ndarray]:
+    def from_point_codes(
+        cls, shape: Sequence[int], codes, *, inverse: bool = True
+    ) -> Tuple["SparseGrid", Optional[np.ndarray]]:
         """Count unit-mass points given by their cell codes (Algorithm 2).
 
         Returns the grid and the quantization inverse: every point's row in
         the grid's canonical arrays, read off the same :meth:`CellCodec.group`
         pass that counts the points, so a per-cell quantity reaches the
-        points with one gather.
+        points with one gather.  ``inverse=False`` skips the inverse and
+        returns ``None`` in its place.
         """
-        cells, counts, inverse = CellCodec(shape).group(codes)
-        return cls._from_sorted(shape, cells, counts.astype(np.float64)), inverse
+        cells, counts, rows = CellCodec(shape).group(codes, inverse=inverse)
+        return cls._from_sorted(shape, cells, counts.astype(np.float64)), rows
 
     @classmethod
     def _from_sorted(cls, shape: Sequence[int], codes, values) -> "SparseGrid":
@@ -270,6 +273,21 @@ class SparseGrid:
         ).copy()
         if len(codes):
             self._pending_chunks.append((codes, values))
+
+    def add_points(self, codes: np.ndarray) -> None:
+        """Accumulate unit-mass points given by their cell codes.
+
+        The codes wait in the pending buffer like :meth:`add_codes`'s and are
+        folded into the canonical arrays once they outnumber the occupied
+        cells, so a stream of batches holds at most one entry per occupied
+        cell plus one batch of codes, never one per point.  The stable sort
+        of a fold runs over the already-sorted cells plus the new codes, so
+        folding as the stream goes costs about what one fold at the end
+        would.
+        """
+        self.add_codes(codes, 1.0)
+        if sum(len(chunk) for chunk, _ in self._pending_chunks) > len(self._values):
+            self._consolidate()
 
     def merge(self, other: "SparseGrid") -> "SparseGrid":
         """Accumulate every cell of ``other`` into this grid (in place).

@@ -75,11 +75,10 @@ class Span:
 
     def __init__(self, stage: str, start: float, end: float) -> None:
         self.stage = str(stage)
-        self.start = start = float(start)
+        self.start = float(start)
         # A span can never run backwards; negative durations would only come
         # from cross-process clock skew and must not poison the histograms.
-        end = float(end)
-        self.end = start if start > end else end
+        self.end = max(float(end), self.start)
 
     @property
     def seconds(self) -> float:
@@ -227,7 +226,7 @@ class Trace:
 
     def span_seconds(self) -> float:
         """Sum of all recorded span durations."""
-        return sum([span.end - span.start for span in self.spans])
+        return sum(span.seconds for span in self.spans)
 
     def coverage(self) -> float:
         """Fraction of the measured total the stage spans explain (0..1)."""

@@ -299,23 +299,21 @@ class Telemetry:
         if not trace.closed:
             trace.close()
         total = float(trace.total_seconds or 0.0)
-        violated = trace.deadline_violated
-        bad = trace.error is not None or violated
+        bad = trace.error is not None or trace.deadline_violated
         # The span dict is only materialised for traces that are actually
         # captured (bad, or slow enough to enter the heap) -- the steady
         # state is a fast path of counter bumps and histogram updates.
         entry = trace.to_dict() if bad else None
         with self._lock:
-            stages = self._stages
             for span in trace.spans:
-                series = stages.get(span.stage)
+                series = self._stages.get(span.stage)
                 if series is None:
-                    series = stages[span.stage] = _StageSeries()
-                series.observe(span.end - span.start)
+                    series = self._stages[span.stage] = _StageSeries()
+                series.observe(span.seconds)
             self._trace_count += 1
             if trace.error is not None:
                 self._trace_errors += 1
-            if violated:
+            if trace.deadline_violated:
                 self._trace_violations += 1
             if bad:
                 self._bad_traces.append(entry)

@@ -217,8 +217,9 @@ class ClusterModel:
         :meth:`~repro.grid.codec.CellCodec.rows`: one gather from a label
         table over the transformed grid, ``O(n)`` for ``n`` points, or a
         binary search over the ``k`` surviving cells, ``O(n log k)``, as the
-        codec's size rule picks.  Points in unmapped cells -- or outside the
-        fitted bounds entirely -- get :data:`~repro.grid.lookup.NOISE_LABEL`.
+        codec's lookup size rule picks.  Points in unmapped cells -- or
+        outside the fitted bounds entirely -- get
+        :data:`~repro.grid.lookup.NOISE_LABEL`.
         Never materialises anything proportional to the training-set size.
         """
         codes, inside = self._quantizer.transform_with_mask(X)

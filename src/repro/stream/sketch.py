@@ -225,12 +225,10 @@ class StreamSketch:
                 "quantization cannot extend the grid after the fact."
             )
         codes = codec.encode_points(X, quantizer.lower_, quantizer.widths_)
-        # Folded to its occupied cells first, so the sketch's pending state
-        # grows with the cells a batch touches, never with its points.
-        batch_grid, _ = SparseGrid.from_point_codes(self.shape, codes)
         if self._window is None:
-            self._grid.merge(batch_grid)
+            self._grid.add_points(codes)
         else:
+            batch_grid, _ = SparseGrid.from_point_codes(self.shape, codes, inverse=False)
             self._window_grids.append((batch_grid, X.shape[0]))
             while len(self._window_grids) > self._window:
                 self._window_grids.popleft()

@@ -98,6 +98,17 @@ class TestSparseGrid:
         values = dict(grid.items())
         np.testing.assert_allclose(sorted(grid.densities()), sorted(values.values()))
 
+    def test_added_points_fold_once_they_outnumber_the_cells(self):
+        grid = SparseGrid((8, 8))
+        codes = np.arange(64)
+        grid.add_points(codes)                       # 64 > 0 cells: folded
+        assert not grid._pending_chunks and grid.n_occupied == 64
+        grid.add_points(codes[:10])                  # 10 <= 64: pending
+        assert len(grid._pending_chunks) == 1
+        grid.add_points(codes)                       # 74 > 64: folded
+        assert not grid._pending_chunks
+        np.testing.assert_array_equal(grid.values, np.where(codes < 10, 3.0, 2.0))
+
 
 class TestGridQuantizer:
     def test_counts_points_per_cell(self):
@@ -143,6 +154,15 @@ class TestGridQuantizer:
         points = np.column_stack([np.random.uniform(size=20), np.full(20, 3.0)])
         result = GridQuantizer(scale=8).fit_transform(points)
         assert set(result.cell_ids[:, 1].tolist()) == {0}
+
+    def test_subnormal_span_handled_like_a_constant_dimension(self):
+        """A span whose cell width would underflow to zero gets the unit span
+        of a constant dimension instead of dividing by zero."""
+        for points in ([[0.0, 0.0], [5e-324, 0.0]], [[1.0, 0.0], [1.0, 5e-324]]):
+            quantizer = GridQuantizer(scale=2)
+            result = quantizer.fit_transform(np.array(points))
+            assert np.all(quantizer.widths_ > 0)
+            assert dict(result.grid.items()) == {(0, 0): 2.0}
 
     def test_transform_requires_fit(self):
         with pytest.raises(RuntimeError, match="fitted"):

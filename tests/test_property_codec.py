@@ -14,7 +14,7 @@ property runs on int64 codes and on the exact Python-int codes boxes of
 * the sort-based neighbour join finds exactly the brute-force pairs;
 * counting codes (``group``) and looking them up through a code-space
   table (``rows``) give exactly what sorting and binary search give, dtypes
-  included, on both sides of the size rule.
+  included, on both sides of the size rules.
 """
 
 import numpy as np
@@ -22,9 +22,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.grid.codec import (
-    COUNT_FLOOR,
-    COUNT_RATIO,
+    GROUP_FLOOR,
+    GROUP_RATIO,
     MAX_ENCODABLE,
+    ROWS_RATIO,
     CellCodec,
     _count_group,
     _count_rows,
@@ -176,10 +177,10 @@ def test_join_finds_exactly_the_brute_force_pairs(data, connectivity):
 
 # -- counting == sorting -------------------------------------------------------
 
-#: Shapes on both sides of the size rule's 2**16 floor, 1-D to 4-D, and one
-#: box in the exact (Python-int) regime.
+#: Shapes on both sides of the grouping rule's 2**12 floor, 1-D to 4-D, and
+#: one box in the exact (Python-int) regime.
 RULE_SHAPES = [
-    (1,), (7,), (2**16,), (2**16 + 1,), (16, 16), (128, 128), (256, 257),
+    (1,), (7,), (2**12,), (2**12 + 1,), (16, 16), (128, 128), (256, 257),
     (12, 9, 5), (40, 40, 41), (16, 16, 16, 16), (17, 16, 16, 16), (2**31, 2**31, 3),
 ]
 
@@ -188,9 +189,9 @@ RULE_SHAPES = [
 def code_draws(draw):
     """(codec, codes): codes of cells inside a box, duplicates included.
 
-    ``n`` reaches past ``2**16 / 8`` so the ``8 * n`` arm of the size rule
-    counts boxes above the floor, and draws concentrate on a few cells or
-    spread over the whole box.
+    ``n`` runs from none to enough codes for the ``n``-proportional arms of
+    both size rules to count boxes above the floor, and draws concentrate on
+    a few cells or spread over the whole box.
     """
     codec = CellCodec(draw(st.sampled_from(RULE_SHAPES)))
     n = draw(st.sampled_from([0, 1, 2, 17, 300, 9_000, 40_000]))
@@ -222,6 +223,10 @@ def test_counted_group_equals_sorted_group(data):
     _assert_same(codec.group(codes), want)
     if not codec.exact:
         _assert_same(_count_group(codes, codec.size), want)
+    # Without the inverse: the same cells and counts, and no inverse.
+    cells, counts, none = codec.group(codes, inverse=False)
+    assert none is None
+    _assert_same([cells, counts], want[:2])
 
 
 @given(data=code_draws(), key_seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -250,15 +255,30 @@ def test_counted_rows_equal_sorted_rows(data, key_seed):
 @pytest.mark.parametrize(
     "shape, n, counts",
     [
-        ((COUNT_FLOOR,), 0, True),                         # boxes up to the floor count
-        ((COUNT_FLOOR + 1,), 1, False),                    # past it, few codes sort
-        ((COUNT_RATIO * 10_000,), 10_000, True),           # ... and enough codes count
-        ((COUNT_RATIO * 10_000 + 1,), 10_000, False),
+        ((GROUP_FLOOR,), 0, True),                         # boxes up to the floor count
+        ((GROUP_FLOOR + 1,), 1, False),                    # past it, few codes sort
+        ((GROUP_RATIO * 10_000,), 10_000, True),           # ... and enough codes count
+        ((GROUP_RATIO * 10_000 + 1,), 10_000, False),
         ((128, 128), 1_000_000, True),                     # a 2-D fit at scale 128
-        ((32,) * 4, 200_000, True),                        # a 4-D fit at scale 32
-        ((32,) * 4, 25_000, False),                        # a 25k-point 4-D batch sorts
+        ((128, 128), 1_000, False),                        # a 1k-point 2-D batch sorts
+        ((32,) * 4, 200_000, False),                       # a 4-D fit at scale 32 sorts
         ((2**31, 2**31, 3), 10**9, False),                 # the exact regime always sorts
     ],
 )
-def test_size_rule_sides(shape, n, counts):
-    assert CellCodec(shape)._counts(n) == counts
+def test_group_size_rule_sides(shape, n, counts):
+    assert CellCodec(shape)._counts(n, GROUP_RATIO, GROUP_FLOOR) == counts
+
+
+@pytest.mark.parametrize(
+    "shape, n, counts",
+    [
+        ((ROWS_RATIO,), 1, True),                          # one code, a box of 32 cells
+        ((ROWS_RATIO + 1,), 1, False),
+        ((ROWS_RATIO * 6_250,), 6_250, True),              # a served request
+        ((ROWS_RATIO * 6_250 + 1,), 6_250, False),
+        ((64, 64), 10, False),                             # a lone small request sorts
+        ((2**31, 2**31, 3), 10**9, False),                 # the exact regime always sorts
+    ],
+)
+def test_rows_size_rule_sides(shape, n, counts):
+    assert CellCodec(shape)._counts(n, ROWS_RATIO) == counts

@@ -101,7 +101,7 @@ def test_counted_lookup_equals_searchsorted_lookup(data, seed):
     rng = np.random.default_rng(seed)
     if index.n_cells:
         # Many cells around the labelled box (some outside it), enough to
-        # put the 8-codes-per-cell arm of the size rule to work.
+        # put the codes-proportional arm of the lookup size rule to work.
         lo, hi = index.codec.origin, index.codec.origin + np.asarray(index.codec.shape)
         n = int(rng.choice([1, 50, 5_000]))
         around = rng.integers(lo - 2, np.minimum(hi + 2, lo + 200), size=(n, ndim))
