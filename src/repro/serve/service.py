@@ -7,7 +7,7 @@ requests from arbitrarily many threads.  Requests against the same model are
 predict pass, every request that arrives for that model queues up and is
 served by the leader's next pass as a single concatenated array.  Under
 bursty traffic this amortises the per-call overhead (validation, encode,
-lookup-table setup) across the burst without adding any latency when the
+lookup setup) across the burst without adding any latency when the
 service is idle -- a lone request executes immediately on its own thread.
 
 Because :class:`~repro.serve.model.ClusterModel` is immutable and its lookup
