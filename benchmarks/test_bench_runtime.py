@@ -54,15 +54,17 @@ def test_bench_engine_speedup(benchmark):
 
 
 def test_bench_backend_speedup(benchmark):
-    """The lifting backend must beat the full ``dwt_batch`` by >= 1.5x.
+    """The transform kernel must beat the full ``dwt_batch`` by >= 1.5x.
 
     Same acceptance configuration as the engine bench (n = 100k, d = 2,
     scale = 128, bior2.2): the real line matrix that fit would transform is
-    timed through every registered backend against the two-sided convolution
-    it replaces.  The lifting factorisation computes only the approximation
-    half with fewer multiplies, so the measured margin is ~3x; 1.5x is the
-    floor.  Labels must stay identical to the numpy reference end to end.
-    Not marked slow: the whole comparison runs in a couple of seconds.
+    timed through :func:`repro.core.transform.approx_lines` against the
+    two-sided convolution it replaces.  The lifting factorisation computes
+    only the approximation half with fewer multiplies, so the measured
+    margin is ~3x; 1.5x is the floor.  Label equality with the reference
+    engine at this configuration is asserted by
+    :func:`test_bench_engine_speedup`.  Not marked slow: the whole
+    comparison runs in well under a second.
     """
     result = benchmark.pedantic(
         lambda: run_backend_speedup(n_points=100_000, scale=128, repeats=10),
@@ -71,16 +73,13 @@ def test_bench_backend_speedup(benchmark):
     )
     print()
     print(format_table(result))
-    assert all(result.metadata["labels_identical"].values()), (
-        f"backend labels diverged from numpy: {result.metadata['labels_identical']}"
-    )
     speedup = next(
         row["seconds"]
         for row in result.rows
-        if row["backend"] == "lifting" and row["stage"] == "speedup vs dwt_batch"
+        if row["kernel"] == "approx_lines" and row["stage"] == "speedup vs dwt_batch"
     )
     assert speedup >= 1.5, (
-        f"lifting backend is only {speedup:.2f}x faster than the full "
+        f"approx_lines is only {speedup:.2f}x faster than the full "
         "dwt_batch transform; the acceptance bar is 1.5x."
     )
 

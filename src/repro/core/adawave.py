@@ -61,7 +61,6 @@ from repro.core.pipeline import (
     run_grid_pipeline,
 )
 from repro.core.threshold import ThresholdDiagnostics
-from repro.core.transform import Workspace
 from repro.grid.lookup import LookupTable, NOISE_LABEL
 from repro.grid.quantizer import GridQuantizer, QuantizationResult
 from repro.grid.sparse_grid import SparseGrid
@@ -72,7 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.serve.model import ClusterModel
     from repro.stream.sketch import StreamSketch
     from repro.tune.select import TuneResult
-    from repro.wavelets.backends import TransformBackend
 
 
 @dataclass
@@ -164,16 +162,6 @@ class AdaWave:
         policies from the one shared quantization and keep the one the
         label-free scoring prefers.  The resolved canonical name is exposed
         as :attr:`threshold_method_` and recorded in exported artifacts.
-    backend:
-        Transform backend for the per-axis low-pass passes: ``"auto"``
-        (default -- the fastest registered backend that supports ``wavelet``,
-        e.g. the batched lifting kernels for the Haar / CDF families, the
-        numba kernels when numba is installed), ``"numpy"`` (the
-        always-available reference), ``"lifting"``, or any
-        :class:`~repro.wavelets.backends.TransformBackend` instance.  All
-        backends are equivalence-pinned against the reference; the resolved
-        name is exposed as :attr:`backend_` and recorded in exported
-        artifacts.
     level:
         Number of wavelet decomposition levels; each level halves the grid
         resolution and produces a coarser clustering (multi-resolution
@@ -226,9 +214,6 @@ class AdaWave:
         Number of detected clusters.
     threshold_:
         Density threshold selected by the adaptive rule.
-    backend_:
-        Name of the transform backend that produced the fitted coefficients
-        (``"auto"`` resolved to a concrete registered backend).
     threshold_method_:
         Canonical name of the level policy the fitted run used
         (``"global-hard"``, ..., with ``threshold="tune"`` resolved to the
@@ -250,7 +235,6 @@ class AdaWave:
         self,
         scale: Union[int, Sequence[int], str] = 128,
         wavelet: str = "bior2.2",
-        backend: Union[str, "TransformBackend"] = "auto",
         level: int = 1,
         threshold_method: str = "auto",
         connectivity: str = "auto",
@@ -273,14 +257,6 @@ class AdaWave:
             # kept verbatim so repr/get_params round-trip.
             LevelPolicy.parse(threshold)
         self.threshold = threshold
-        from repro.wavelets.backends import TransformBackend as _TransformBackend
-
-        if backend is not None and not isinstance(backend, (str, _TransformBackend)):
-            raise TypeError(
-                "backend must be 'auto', a registered backend name or a "
-                f"TransformBackend instance; got {type(backend).__name__}."
-            )
-        self.backend = backend
         self.level = check_positive_int(level, name="level")
         if threshold_method not in THRESHOLD_METHODS:
             raise ValueError(
@@ -319,7 +295,6 @@ class AdaWave:
         self.labels_: Optional[np.ndarray] = None
         self.n_clusters_: Optional[int] = None
         self.threshold_: Optional[float] = None
-        self.backend_: Optional[str] = None
         self.threshold_method_: Optional[str] = None
         self.wavelet_: Optional[str] = None
         self.result_: Optional[AdaWaveResult] = None
@@ -339,9 +314,6 @@ class AdaWave:
         self._stream_dirty: bool = False
         # Cached frozen artifact backing predict(); invalidated per (re)fit.
         self._served_model: Optional["ClusterModel"] = None
-        # Shared scratch for the batched line transform (a BatchRunner may
-        # inject its own so many estimators reuse one buffer).
-        self._workspace: Optional[Workspace] = None
 
     # -- pipeline stages ------------------------------------------------------
 
@@ -385,7 +357,6 @@ class AdaWave:
             connectivity=self.connectivity,
             min_cluster_cells=self.min_cluster_cells,
             angle_divisor=self.angle_divisor,
-            backend=self.backend,
         )
 
     def _wants_sweep(self) -> bool:
@@ -408,7 +379,6 @@ class AdaWave:
         # Wall-clock breakdown of the winning grid-side run; rides into
         # artifact metadata so a served model carries its fit provenance.
         self.stage_seconds_ = dict(pipe.stage_seconds)
-        self.backend_ = pipe.backend
         self.threshold_method_ = pipe.threshold_policy
         self.wavelet_ = pipe.wavelet
         self._served_model = None
@@ -417,10 +387,7 @@ class AdaWave:
     def _run_pipeline(self, quantization: QuantizationResult, n_features: int) -> "AdaWave":
         """Stages 2-4 (transform, threshold, components, lookup) on a grid."""
         pipe = run_grid_pipeline(
-            quantization.grid,
-            level=self.level,
-            workspace=self._workspace,
-            **self._pipeline_params(),
+            quantization.grid, level=self.level, **self._pipeline_params()
         )
         self.tune_result_ = None
         return self._finish(quantization, pipe)
@@ -445,15 +412,10 @@ class AdaWave:
         """
         from repro.tune.select import tune_pyramid
 
-        # One scratch workspace for the whole sweep: the per-level line
-        # matrices shrink monotonically, so every transform reuses the
-        # buffer the finest level allocated.
-        workspace = self._workspace if self._workspace is not None else Workspace()
         tune_result = tune_pyramid(
             base_grid,
             levels=self.tune_levels or (self.level,),
             factors=factors,
-            workspace=workspace,
             **self._pipeline_params(),
         )
         best = tune_result.best.candidate
@@ -559,7 +521,6 @@ class AdaWave:
         self.labels_ = None
         self.n_clusters_ = None
         self.threshold_ = None
-        self.backend_ = None
         self.threshold_method_ = None
         self.wavelet_ = None
         self.result_ = None
@@ -784,6 +745,6 @@ class AdaWave:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"AdaWave(scale={self.scale}, wavelet={self.wavelet!r}, "
-            f"backend={self.backend!r}, level={self.level}, "
+            f"level={self.level}, "
             f"threshold_method={self.threshold_method!r}, engine={self.engine!r})"
         )

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.adawave import AdaWave, AdaWaveResult, build_result
-from repro.core.transform import Workspace
 from repro.grid.quantizer import GridQuantizer
 from repro.utils.validation import check_array
 
@@ -117,16 +116,11 @@ class MultiResolutionAdaWave:
         quantizer = GridQuantizer(scale=scale, bounds=template.bounds)
         quantization = quantizer.fit_transform(X)
         # One grid-side pipeline pass per level over the shared sketch (the
-        # same machinery the tuning sweep runs per pyramid level), with one
-        # scratch workspace reused across the per-level transforms.
-        workspace = Workspace()
+        # same machinery the tuning sweep runs per pyramid level).
         self.levels_ = []
         for level in self.levels:
             pipe = run_grid_pipeline(
-                quantization.grid,
-                level=level,
-                workspace=workspace,
-                **template._pipeline_params(),
+                quantization.grid, level=level, **template._pipeline_params()
             )
             result = build_result(quantization, pipe)
             self.levels_.append(

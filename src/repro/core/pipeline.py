@@ -23,11 +23,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.threshold import ThresholdDiagnostics, adaptive_threshold
-from repro.core.transform import Workspace, wavelet_smooth_grid
+from repro.core.transform import wavelet_smooth_grid
 from repro.grid.connectivity import label_components_array
 from repro.grid.sparse_grid import SparseGrid
 from repro.obs.trace import StageTimer
-from repro.wavelets.backends import resolve_backend
 from repro.wavelets.thresholding import LevelPolicy
 
 #: Dimensionalities up to which ``connectivity="auto"`` resolves to "full".
@@ -38,9 +37,10 @@ CONNECTIVITIES = ("auto", "face", "full")
 
 #: Relative epsilon of the survivor cut: transformed densities within this
 #: relative distance of the selected threshold count as *at* the threshold
-#: (pruned).  Transform backends round the same coefficient differently at
-#: the last few ulps, so without the snap an exact density tie at the
-#: threshold could survive under one backend and fall under another.
+#: (pruned).  The lifting kernel and the reference engine's convolution
+#: round the same coefficient differently at the last few ulps, so without
+#: the snap an exact density tie at the threshold could survive in one and
+#: fall in the other.
 _TIE_SNAP_RELATIVE = 1e-9
 
 
@@ -48,9 +48,10 @@ def snapped_cut(threshold: float) -> float:
     """Tie-stable survivor cut for a selected density threshold.
 
     Cells survive when their density exceeds ``threshold`` by more than a
-    relative epsilon, so the survivor set is identical across registered
-    transform backends even when their rounding differs on exact ties.
-    Shared by the vectorized extraction and the reference engine.
+    relative epsilon, so the survivor set is the same whether the
+    coefficients came from lifting or from convolution, even where their
+    rounding differs on exact ties.  Shared by the vectorized extraction and
+    the reference engine.
     """
     return threshold + _TIE_SNAP_RELATIVE * max(1.0, abs(threshold))
 
@@ -108,7 +109,7 @@ def extract_clusters(
     """Surviving transformed cells and their component labels (vectorized).
 
     Prunes cells at or below ``threshold`` (with the tie-stable
-    :func:`snapped_cut`, so backend rounding cannot flip exact density
+    :func:`snapped_cut`, so kernel rounding cannot flip exact density
     ties), labels the connected components of the survivors and drops
     components smaller than ``min_cluster_cells`` (relabelling the
     remainder to a dense ``0..k-1`` range).  Returns the ``(k, d)``
@@ -143,10 +144,9 @@ class GridPipelineResult:
     ``stage_seconds`` is the wall-clock breakdown of this run over the three
     grid-side stages (``transform`` / ``threshold`` / ``extract``) -- the
     same shape of record the serving plane keeps per request, here available
-    for tuning provenance and artifact metadata.  ``backend`` records which
-    transform backend produced the coefficients, ``wavelet`` the basis and
-    ``threshold_policy`` the canonical level-policy name the run used
-    (provenance for artifacts).
+    for tuning provenance and artifact metadata.  ``wavelet`` records the
+    basis and ``threshold_policy`` the canonical level-policy name the run
+    used (provenance for artifacts).
     """
 
     transformed: SparseGrid
@@ -156,7 +156,6 @@ class GridPipelineResult:
     n_clusters: int
     level: int
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    backend: str = "numpy"
     wavelet: str = "bior2.2"
     threshold_policy: str = "global-hard"
 
@@ -171,9 +170,7 @@ def run_grid_pipeline(
     connectivity: str = "auto",
     min_cluster_cells: int = 3,
     angle_divisor: float = 3.0,
-    workspace: Optional[Workspace] = None,
     timer: Optional[StageTimer] = None,
-    backend=None,
 ) -> GridPipelineResult:
     """Run transform, threshold and component extraction on one grid.
 
@@ -186,11 +183,6 @@ def run_grid_pipeline(
     multi-level decomposition); the per-run breakdown is always available on
     ``GridPipelineResult.stage_seconds`` regardless.
 
-    ``backend`` selects the transform kernel (``None`` / ``"auto"`` picks the
-    fastest registered backend supporting ``wavelet``; see
-    :mod:`repro.wavelets.backends`).  The resolved name is recorded on the
-    result for provenance.
-
     ``threshold`` selects the denoising level policy
     (:class:`~repro.wavelets.LevelPolicy` or one of its spellings --
     ``"hard"``, ``"soft"``, ``"per-level-hard"``, ``"per-level-soft"``).
@@ -201,12 +193,10 @@ def run_grid_pipeline(
     selection (``threshold_method``) and survivor extraction are unchanged.
     """
     policy = LevelPolicy.parse(threshold)
-    resolved_backend = resolve_backend(backend, wavelet)
     run_timer = StageTimer()
     with run_timer.stage("transform"):
         transformed, _shape = wavelet_smooth_grid(
-            grid, wavelet=wavelet, level=level, workspace=workspace,
-            backend=resolved_backend,
+            grid, wavelet=wavelet, level=level,
             shrink=policy if policy.denoises else None,
         )
     with run_timer.stage("threshold"):
@@ -228,7 +218,6 @@ def run_grid_pipeline(
         n_clusters=n_clusters,
         level=level,
         stage_seconds=run_timer.as_dict(),
-        backend=resolved_backend.name,
         wavelet=getattr(wavelet, "name", None) or str(wavelet),
         threshold_policy=policy.name,
     )

@@ -10,23 +10,24 @@ only the scale-space (approximation) coefficients, discarding the wavelet
 
 The transform never materialises the dense d-dimensional grid: it gathers the
 occupied 1-D lines of the sparse grid (there are at most as many lines as
-occupied cells) into one ``(n_lines, scale)`` matrix and runs a single batched
-DWT over it, which keeps the cost ``O(number of occupied cells * scale)`` and
-turns the per-line Python loop of the original implementation into three
-vectorized array passes (group, transform, scatter).
+occupied cells) into one ``(n_lines, scale)`` matrix and runs one batched
+approximation-only kernel over it (:func:`approx_lines`), which keeps the cost
+``O(number of occupied cells * scale)`` and turns the per-line Python loop of
+the original implementation into three vectorized array passes (group,
+transform, scatter).
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.grid.sparse_grid import SparseGrid
-from repro.wavelets.backends import TransformBackend, resolve_backend
+from repro.wavelets.dwt import dwt_batch, even_line_matrix
 from repro.wavelets.filters import build_wavelet
+from repro.wavelets.lifting import LIFTING_WAVELETS, lifting_approx_batch
 from repro.wavelets.thresholding import (
     LevelPolicy,
     hard_threshold,
@@ -39,93 +40,50 @@ from repro.wavelets.thresholding import (
 # side-lobes spreading into empty cells).
 _NEGLIGIBLE = 1e-9
 
-# Line matrices smaller than this run serially: below it the transform takes
-# tens of microseconds and thread handoff would dominate.  Tests lower it to
-# exercise the chunked path on tiny fixtures.
-_PARALLEL_MIN_ELEMENTS = 1 << 16
+# Rows reach the kernel in blocks of at most this many elements, so a block
+# and the kernel's temporaries stay cache-sized.  On the 32.5k x 32 line
+# matrices of a 200k-point 4-D fit at scale 32 (2-CPU host) the blocks ran
+# as fast as a thread pool over row chunks, and faster than one call over
+# the whole matrix.  Rows are independent, so the blocked output is
+# bit-identical to one call.
+_BLOCK_ELEMENTS = 1 << 16
 
-_EXECUTOR: Optional[ThreadPoolExecutor] = None
-_EXECUTOR_WORKERS = 0
-_EXECUTOR_LOCK = threading.Lock()
 
+def approx_lines(matrix, wavelet) -> np.ndarray:
+    """Low-pass transform every row of ``matrix``: the cA half of one DWT level.
 
-def _transform_executor(n_workers: int) -> ThreadPoolExecutor:
-    """Shared lazily-built thread pool for line-chunk fan-out.
-
-    One process-wide pool is reused across fits (thread startup is not free);
-    it grows if a caller asks for more workers than it was built with.
+    The batched lifting kernels
+    (:func:`~repro.wavelets.lifting.lifting_approx_batch`) run for the Haar
+    family, CDF 5/3 (``bior2.2``) and CDF 9/7 (``bior4.4``); every other
+    wavelet goes through ``dwt_batch(..., approx_only=True)``.  Odd-length
+    rows are padded by repeating their last sample, as in
+    :func:`~repro.wavelets.dwt_batch`.  Returns a new ``(n_rows, ceil(n /
+    2))`` array; ``matrix`` is never written.
     """
-    global _EXECUTOR, _EXECUTOR_WORKERS
-    with _EXECUTOR_LOCK:
-        if _EXECUTOR is None or _EXECUTOR_WORKERS < n_workers:
-            if _EXECUTOR is not None:
-                _EXECUTOR.shutdown(wait=False)
-            _EXECUTOR = ThreadPoolExecutor(
-                max_workers=n_workers, thread_name_prefix="repro-transform"
-            )
-            _EXECUTOR_WORKERS = n_workers
-        return _EXECUTOR
+    bank = build_wavelet(wavelet)
+    matrix = even_line_matrix(matrix)
+    if bank.name in LIFTING_WAVELETS:
+        kernel = partial(lifting_approx_batch, bank=bank)
+    else:
+        kernel = partial(dwt_batch, wavelet=bank, approx_only=True)
+    n_rows, width = matrix.shape
+    rows = max(1, _BLOCK_ELEMENTS // width)
+    if n_rows <= rows:
+        return kernel(matrix)
+    approx = np.empty((n_rows, width // 2))
+    for start in range(0, n_rows, rows):
+        approx[start : start + rows] = kernel(matrix[start : start + rows])
+    return approx
 
 
-def approx_lines(
-    matrix,
-    wavelet,
-    backend=None,
-    n_workers: Optional[int] = None,
-) -> np.ndarray:
-    """Low-pass transform every row of ``matrix`` via the chosen backend.
-
-    Rows (grid lines) are independent, so large matrices are chunked by row
-    and fanned across the shared thread pool -- the numpy matmul and the
-    lifting ufunc kernels release the GIL on large blocks.  Chunked output is
-    bit-identical to the serial call because every kernel processes rows
-    independently; the equivalence suite pins this.
-
-    ``backend`` accepts anything :func:`resolve_backend` does (``None`` /
-    ``"auto"`` / a name / a :class:`TransformBackend`); ``n_workers`` follows
-    the :func:`repro.serve.parallel.resolve_n_workers` convention (``None`` =
-    one per CPU, capped by the number of row chunks).
-    """
-    resolved = (
-        backend if isinstance(backend, TransformBackend) else resolve_backend(backend, wavelet)
-    )
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n_rows = matrix.shape[0] if matrix.ndim == 2 else 0
-    if n_rows < 2 or matrix.size < _PARALLEL_MIN_ELEMENTS:
-        return resolved.approx_batch(matrix, wavelet)
-    # Imported lazily: repro.serve.parallel pulls in the estimator, which
-    # would be a circular import at module load time.
-    from repro.serve.parallel import resolve_n_workers
-
-    n_chunks = resolve_n_workers(n_workers, n_tasks=n_rows)
-    if n_chunks <= 1:
-        return resolved.approx_batch(matrix, wavelet)
-    bounds = np.linspace(0, n_rows, n_chunks + 1).astype(np.int64)
-    chunks = [matrix[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    pool = _transform_executor(len(chunks))
-    parts = list(pool.map(lambda chunk: resolved.approx_batch(chunk, wavelet), chunks))
-    return np.concatenate(parts, axis=0)
-
-
-def _transform_axis(
-    grid: SparseGrid,
-    wavelet,
-    axis: int,
-    workspace: Optional["np.ndarray"] = None,
-    backend=None,
-    n_workers: Optional[int] = None,
-) -> SparseGrid:
-    """Single-level low-pass transform of the grid along one axis.
-
-    ``workspace`` may supply a reusable scratch matrix for the dense line
-    batch (see :meth:`SparseGrid.line_matrix`).
-    """
+def _transform_axis(grid: SparseGrid, wavelet, axis: int) -> SparseGrid:
+    """Single-level low-pass transform of the grid along one axis."""
     new_shape = list(grid.shape)
     new_shape[axis] = (grid.shape[axis] + 1) // 2
-    keys, matrix = grid.line_matrix(axis, out=workspace)
+    keys, matrix = grid.line_matrix(axis)
     if len(keys) == 0:
         return SparseGrid(new_shape)
-    approx = approx_lines(matrix, wavelet, backend=backend, n_workers=n_workers)
+    approx = approx_lines(matrix, wavelet)
     mask = np.abs(approx) > _NEGLIGIBLE
     line_index, position = np.nonzero(mask)
     coords = np.empty((len(line_index), grid.ndim), dtype=np.int64)
@@ -167,9 +125,6 @@ def wavelet_smooth_grid(
     grid: SparseGrid,
     wavelet: str = "bior2.2",
     level: int = 1,
-    workspace: Optional["Workspace"] = None,
-    backend=None,
-    n_workers: Optional[int] = None,
     shrink: Optional[LevelPolicy] = None,
 ) -> Tuple[SparseGrid, Tuple[int, ...]]:
     """Transform a sparse grid into its level-``level`` approximation subband.
@@ -184,16 +139,6 @@ def wavelet_smooth_grid(
     level:
         Number of decomposition levels; every level halves the resolution in
         each dimension.
-    workspace:
-        Optional :class:`Workspace` whose scratch buffer is reused for the
-        dense line batches (lets a batch runner transform many grids without
-        reallocating).
-    backend:
-        Transform backend spec (``None`` / ``"auto"`` / a registered name /
-        a :class:`~repro.wavelets.backends.TransformBackend`); resolved once
-        and reused for every axis pass.
-    n_workers:
-        Thread count for chunked line-batch fan-out (``None`` = one per CPU).
     shrink:
         Optional :class:`~repro.wavelets.LevelPolicy` adding a MAD-scaled
         VisuShrink denoising pass in the wavelet domain.  Per-level policies
@@ -213,52 +158,18 @@ def wavelet_smooth_grid(
     if level < 1:
         raise ValueError(f"level must be >= 1; got {level}.")
     bank = build_wavelet(wavelet)
-    resolved = (
-        backend if isinstance(backend, TransformBackend) else resolve_backend(backend, bank)
-    )
     per_level = shrink is not None and shrink.mode == "per-level"
     current = grid
     for _ in range(level):
         if min(current.shape) < 2:
             break
         for axis in range(current.ndim):
-            scratch = None
-            if workspace is not None:
-                scratch = workspace.line_buffer(current.n_occupied, current.shape[axis])
-            current = _transform_axis(
-                current, bank, axis, workspace=scratch, backend=resolved, n_workers=n_workers
-            )
+            current = _transform_axis(current, bank, axis)
         if per_level:
             current = _shrink_grid(current, shrink.rule)
     if shrink is not None and shrink.mode == "global" and shrink.rule == "soft":
         current = _shrink_grid(current, "soft")
     return current, current.shape
-
-
-class Workspace:
-    """Reusable scratch memory for repeated grid transforms.
-
-    The batched line transform needs one dense ``(n_lines, length)`` matrix
-    per axis pass.  A :class:`Workspace` keeps a single growing buffer and
-    hands out zeroed slices of it, so a :class:`~repro.engine.BatchRunner`
-    clustering many datasets allocates the matrix once instead of once per
-    dataset and axis.
-    """
-
-    def __init__(self) -> None:
-        self._buffer: Optional[np.ndarray] = None
-
-    def line_buffer(self, n_lines: int, length: int) -> np.ndarray:
-        """A scratch matrix with at least ``n_lines`` rows and ``length`` columns."""
-        if (
-            self._buffer is None
-            or self._buffer.shape[0] < n_lines
-            or self._buffer.shape[1] < length
-        ):
-            rows = max(n_lines, self._buffer.shape[0] if self._buffer is not None else 0)
-            cols = max(length, self._buffer.shape[1] if self._buffer is not None else 0)
-            self._buffer = np.zeros((rows, cols))
-        return self._buffer
 
 
 def grid_energy(grid: SparseGrid) -> float:

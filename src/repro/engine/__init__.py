@@ -16,12 +16,10 @@ connected components, lookup) exist in two interchangeable implementations:
 
 This package also provides :class:`BatchRunner`, which clusters many
 datasets through one shared pipeline: the wavelet filter bank is built once
-and the dense line-matrix scratch buffer of the batched transform is reused
-across datasets instead of being reallocated per fit.
+and reused across datasets instead of being rebuilt per fit.
 """
 
-from repro.core.transform import Workspace
 from repro.engine.batch import BatchRunner
 from repro.engine import reference
 
-__all__ = ["BatchRunner", "Workspace", "reference"]
+__all__ = ["BatchRunner", "reference"]

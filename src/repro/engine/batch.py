@@ -2,12 +2,10 @@
 
 Serving many clustering requests (or sweeping many datasets in an
 experiment) through fresh :class:`~repro.core.adawave.AdaWave` instances
-re-does two pieces of work per dataset: constructing the wavelet filter bank
-and allocating the dense line matrix the batched transform scatters the grid
-into.  :class:`BatchRunner` hoists both -- the filter bank is built once in
-the constructor and every fit shares one growing
-:class:`~repro.core.transform.Workspace` scratch buffer -- while keeping the
-per-dataset results completely independent.
+would construct the wavelet filter bank once per dataset.
+:class:`BatchRunner` builds it once in the constructor and fits every
+dataset with it, optionally fanning the datasets out over threads, while
+keeping the per-dataset results completely independent.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.adawave import AdaWave, AdaWaveResult
-from repro.core.transform import Workspace
 from repro.wavelets.filters import build_wavelet
 
 
@@ -43,25 +40,17 @@ class BatchRunner:
         # Resolve the wavelet once; AdaWave accepts the built bank directly,
         # so every run skips the name lookup / construction entirely.
         self._params["wavelet"] = build_wavelet(self._params.get("wavelet", "bior2.2"))
-        self._workspace = Workspace()
         self.n_runs_: int = 0
 
-    def _make_estimator(self) -> AdaWave:
-        model = AdaWave(**self._params)
-        model._workspace = self._workspace
-        return model
+    def _fit(self, X) -> AdaWaveResult:
+        """One fit on a fresh estimator (safe to run on a pool thread)."""
+        return AdaWave(**self._params).fit(X).result_
 
     def run(self, X) -> AdaWaveResult:
         """Cluster one dataset and return its full :class:`AdaWaveResult`."""
-        model = self._make_estimator().fit(X)
+        result = self._fit(X)
         self.n_runs_ += 1
-        return model.result_
-
-    def _run_isolated(self, X) -> AdaWaveResult:
-        """One fit with a private workspace (safe to run on a pool thread)."""
-        model = AdaWave(**self._params)
-        model._workspace = Workspace()
-        return model.fit(X).result_
+        return result
 
     def run_many(
         self, datasets: Iterable[np.ndarray], n_workers: Optional[int] = None
@@ -70,15 +59,15 @@ class BatchRunner:
 
         With ``n_workers`` greater than one the datasets fan out over a
         :class:`~concurrent.futures.ThreadPoolExecutor` -- each worker fits
-        through a private scratch workspace, so the runs stay independent
-        while the numpy-heavy stages (which release the GIL) overlap.
+        a fresh estimator, so the runs stay independent while the
+        numpy-heavy stages (which release the GIL) overlap.
         Results are returned in input order either way.
         """
         datasets = list(datasets)
         if n_workers is None or n_workers <= 1 or len(datasets) <= 1:
             return [self.run(X) for X in datasets]
         with ThreadPoolExecutor(max_workers=min(n_workers, len(datasets))) as pool:
-            results = list(pool.map(self._run_isolated, datasets))
+            results = list(pool.map(self._fit, datasets))
         self.n_runs_ += len(datasets)
         return results
 
@@ -96,7 +85,6 @@ class BatchRunner:
         params = dict(self._params)
         params["bounds"] = bounds
         model = AdaWave(**params)
-        model._workspace = self._workspace
         count = 0
         for batch in batches:
             model.partial_fit(batch)

@@ -183,9 +183,9 @@ def extract_clusters_reference(
     """Threshold filter + components + small-component suppression (literal).
 
     Uses the same tie-stable cut as the vectorized extraction
-    (:func:`repro.core.pipeline.snapped_cut`), so reference and vectorized
-    survivor sets agree across all transform backends even on exact density
-    ties at the threshold.
+    (:func:`repro.core.pipeline.snapped_cut`), so reference (convolution)
+    and vectorized (lifting) survivor sets agree even on exact density ties
+    at the threshold.
     """
     from repro.core.pipeline import snapped_cut
 

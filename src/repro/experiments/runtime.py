@@ -154,29 +154,27 @@ def run_backend_speedup(
     seed: int = 0,
     repeats: int = 10,
 ) -> ExperimentResult:
-    """Transform-stage kernel time per registered backend at the acceptance size.
+    """Transform-kernel time at the acceptance size: ``approx_lines`` vs ``dwt_batch``.
 
     Quantizes the n = 100k acceptance dataset once, extracts the real line
-    matrix the fit would transform, and times every registered backend's
-    ``approx_batch`` against the full ``dwt_batch`` (both halves) it replaces.
-    Also fits the estimator end to end per backend so the whole-fit wall clock
-    and label agreement land in the same report.  Reports one ``transform``
-    row per backend (best of ``repeats`` x a small inner loop), one ``fit``
-    row per backend, and one ``speedup vs dwt_batch`` summary row per backend;
-    asserts nothing itself -- the benchmark layer does.
+    matrix the fit would transform, and times
+    :func:`repro.core.transform.approx_lines` (approximation half only)
+    against the full ``dwt_batch`` (both halves) it replaces.  Reports one
+    ``transform`` row per kernel (best of ``repeats`` x a small inner loop)
+    and one ``speedup vs dwt_batch`` row; asserts nothing itself -- the
+    benchmark layer does.
     """
+    from repro.core.transform import approx_lines
     from repro.grid.quantizer import GridQuantizer
-    from repro.wavelets.backends import available_backends, get_backend
     from repro.wavelets.dwt import dwt_batch
 
     dataset = scaled_runtime_dataset(n_points, noise_fraction=noise_fraction, seed=seed)
-    quantized = GridQuantizer(scale=scale).fit(dataset.points).quantize(dataset.points)
+    quantized = GridQuantizer(scale=scale).fit_transform(dataset.points)
     _keys, matrix = quantized.grid.line_matrix(0)
-    matrix = np.ascontiguousarray(matrix)
 
     result = ExperimentResult(
-        experiment="backend speedup: lifting vs numpy reference",
-        columns=["backend", "stage", "seconds"],
+        experiment="transform kernel speedup: approx_lines vs full dwt_batch",
+        columns=["kernel", "stage", "seconds"],
         metadata={
             "n_points": dataset.n_samples,
             "scale": scale,
@@ -198,37 +196,12 @@ def run_backend_speedup(
         return float(best)
 
     baseline = _best_of(lambda: dwt_batch(matrix, wavelet))
-    result.add_row(backend="dwt_batch (full)", stage="transform", seconds=baseline)
-
-    kernel_seconds: Dict[str, float] = {}
-    backends = [
-        name
-        for name in available_backends()
-        if get_backend(name).supports(wavelet)
-    ]
-    for name in backends:
-        backend = get_backend(name)
-        kernel_seconds[name] = _best_of(lambda: backend.approx_batch(matrix, wavelet))
-        result.add_row(backend=name, stage="transform", seconds=kernel_seconds[name])
-
-    labels: Dict[str, np.ndarray] = {}
-    for name in backends:
-        estimator = AdaWave(scale=scale, wavelet=wavelet, backend=name)
-        start = time.perf_counter()
-        labels[name] = estimator.fit_predict(dataset.points)
-        result.add_row(
-            backend=name, stage="fit", seconds=float(time.perf_counter() - start)
-        )
-
-    result.metadata["labels_identical"] = {
-        name: bool(np.array_equal(labels[name], labels["numpy"]))
-        for name in backends
-        if name != "numpy"
-    }
-    for name in backends:
-        result.add_row(
-            backend=name,
-            stage="speedup vs dwt_batch",
-            seconds=float(baseline / max(kernel_seconds[name], 1e-12)),
-        )
+    result.add_row(kernel="dwt_batch (full)", stage="transform", seconds=baseline)
+    kernel = _best_of(lambda: approx_lines(matrix, wavelet))
+    result.add_row(kernel="approx_lines", stage="transform", seconds=kernel)
+    result.add_row(
+        kernel="approx_lines",
+        stage="speedup vs dwt_batch",
+        seconds=float(baseline / max(kernel, 1e-12)),
+    )
     return result

@@ -117,7 +117,10 @@ class GridQuantizer:
 
     def fit(self, X) -> "GridQuantizer":
         """Learn the per-dimension bounds and interval counts from ``X``."""
-        X = check_array(X, name="X")
+        return self._fit(check_array(X, name="X"))
+
+    def _fit(self, X: np.ndarray) -> "GridQuantizer":
+        """:meth:`fit` on an array :func:`check_array` already validated."""
         n_features = X.shape[1]
         self.shape_ = self._resolve_scale(n_features)
         extents = column_extents(X)
@@ -247,13 +250,21 @@ class GridQuantizer:
         return self.codec.encode_points(X, self.lower_, self.widths_), inside
 
     def fit_transform(self, X) -> QuantizationResult:
-        """Fit the bounds and quantize ``X`` in one call (Algorithm 2)."""
-        self.fit(X)
-        return self.quantize(X)
+        """Fit the bounds and quantize ``X`` in one call (Algorithm 2).
+
+        ``X`` is validated once; the validated array both fits the bounds
+        and is quantized.
+        """
+        X = check_array(X, name="X")
+        return self._fit(X)._quantize(X)
 
     def quantize(self, X) -> QuantizationResult:
         """Quantize ``X`` into a :class:`QuantizationResult` using fitted bounds."""
-        codes = self.codec.encode_points(self._points(X), self.lower_, self.widths_)
+        return self._quantize(self._points(X))
+
+    def _quantize(self, X: np.ndarray) -> QuantizationResult:
+        """:meth:`quantize` on a validated array of the fitted width."""
+        codes = self.codec.encode_points(X, self.lower_, self.widths_)
         grid, inverse = SparseGrid.from_point_codes(self.shape_, codes)
         return QuantizationResult(
             grid=grid,

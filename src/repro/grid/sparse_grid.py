@@ -465,26 +465,16 @@ class SparseGrid:
             dense[positions[lo:hi]] = values[lo:hi]
             yield key, dense
 
-    def line_matrix(self, axis: int, out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    def line_matrix(self, axis: int) -> Tuple[np.ndarray, np.ndarray]:
         """Dense matrix of every occupied line along ``axis`` (vectorized).
 
         Returns ``(keys, matrix)``: ``keys`` is ``(n_lines, d - 1)`` and
         ``matrix`` is ``(n_lines, shape[axis])`` with the density vectors of
         the lines as rows, in the same (sorted) order as :meth:`lines_along`.
-        ``out`` may supply a pre-allocated scratch array at least that big; it
-        is zeroed and sliced, which lets a batch runner reuse one buffer
-        across many transforms.
         """
         keys, line_ids, positions, values = self._line_grouping(axis)
-        length = self._shape[axis]
-        n_lines = len(keys)
-        if out is not None and out.shape[0] >= n_lines and out.shape[1] >= length:
-            matrix = out[:n_lines, :length]
-            matrix[:] = 0.0
-        else:
-            matrix = np.zeros((n_lines, length))
-        if n_lines:
-            matrix[line_ids, positions] = values
+        matrix = np.zeros((len(keys), self._shape[axis]))
+        matrix[line_ids, positions] = values
         return keys, matrix
 
     def neighbor_pairs(self, connectivity: str = "face") -> Tuple[np.ndarray, np.ndarray]:

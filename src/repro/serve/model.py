@@ -178,11 +178,6 @@ class ClusterModel:
             "threshold_rule": result.threshold.method,
             "n_seen": int(getattr(estimator, "n_seen_", 0)),
         }
-        transform_backend = getattr(estimator, "backend_", None)
-        if transform_backend:
-            # Provenance: which transform kernel produced the coefficients
-            # this artifact's cell map was cut from.
-            metadata["transform_backend"] = transform_backend
         stage_seconds = getattr(estimator, "stage_seconds_", None)
         if stage_seconds:
             # Fit-time provenance: how long each grid-side stage of the

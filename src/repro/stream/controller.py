@@ -95,18 +95,14 @@ class StreamController:
         call back into the controller from one (hand off to a queue or
         thread instead).
     wavelet, threshold, threshold_method, connectivity, min_cluster_cells,
-    angle_divisor, backend:
+    angle_divisor:
         Grid-side pipeline parameters used by both the re-tune sweep and the
-        drift monitor's fresh-partition pass.  ``backend`` selects the
-        transform kernel (``"auto"`` = fastest registered; see
-        :mod:`repro.wavelets.backends`), so every re-tune inherits the fast
-        path and records it in the published artifact's metadata.
-        ``wavelet`` may be a sequence and ``threshold`` may be ``"tune"``:
-        both widen the re-tune sweep's axes (every re-tune re-picks the
-        basis / level policy from the live sketch), and the winners are
-        published in the swapped model's metadata (``wavelet`` /
-        ``threshold_method``) so the monitor's fresh pass follows the
-        served configuration.
+        drift monitor's fresh-partition pass.  ``wavelet`` may be a sequence
+        and ``threshold`` may be ``"tune"``: both widen the re-tune sweep's
+        axes (every re-tune re-picks the basis / level policy from the live
+        sketch), and the winners are published in the swapped model's
+        metadata (``wavelet`` / ``threshold_method``) so the monitor's fresh
+        pass follows the served configuration.
 
     Attributes
     ----------
@@ -158,7 +154,6 @@ class StreamController:
         connectivity: str = "auto",
         min_cluster_cells: int = 3,
         angle_divisor: float = 3.0,
-        backend="auto",
     ) -> None:
         self.name = str(name)
         self._owns_service = service is None
@@ -199,7 +194,6 @@ class StreamController:
             connectivity=connectivity,
             min_cluster_cells=min_cluster_cells,
             angle_divisor=angle_divisor,
-            backend=backend,
         )
         self.monitor = (
             monitor if monitor is not None else DriftMonitor(**self._pipeline_params)
@@ -325,7 +319,6 @@ class StreamController:
                     "retune_index": self.n_retunes_,
                     "tuning": tune_result.provenance(),
                     "stage_seconds": dict(best.pipeline.stage_seconds),
-                    "transform_backend": best.pipeline.backend,
                     "wavelet": best.wavelet,
                     "threshold_method": best.threshold_method,
                 },

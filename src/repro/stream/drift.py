@@ -32,7 +32,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.pipeline import run_grid_pipeline
-from repro.core.transform import Workspace
 from repro.grid.lookup import NOISE_LABEL, CellLabelIndex
 from repro.grid.sparse_grid import SparseGrid
 from repro.serve.model import ClusterModel
@@ -85,7 +84,7 @@ class DriftMonitor:
         Drift is flagged when the live noise-band mass fraction moves more
         than this far from the fraction recorded at publish time.
     wavelet, threshold, threshold_method, connectivity, min_cluster_cells,
-    angle_divisor, backend:
+    angle_divisor:
         Grid-side pipeline parameters for the fresh partition; use the same
         values the serving models are tuned with.  Sweep-axis specs are
         resolved against the served model at check time: a ``wavelet``
@@ -114,7 +113,6 @@ class DriftMonitor:
         connectivity: str = "auto",
         min_cluster_cells: int = 3,
         angle_divisor: float = 3.0,
-        backend="auto",
     ) -> None:
         if not 0.0 <= min_stability <= 1.0:
             raise ValueError(f"min_stability must be in [0, 1]; got {min_stability}.")
@@ -133,12 +131,9 @@ class DriftMonitor:
             connectivity=connectivity,
             min_cluster_cells=min_cluster_cells,
             angle_divisor=angle_divisor,
-            backend=backend,
         )
         self.model_: Optional[ClusterModel] = None
         self.baseline_noise_fraction_: Optional[float] = None
-        # Scratch buffer reused by every fresh-partition pipeline pass.
-        self._workspace = Workspace()
 
     def _fresh_params(self) -> dict:
         """Pipeline params for the fresh pass, sweep specs pinned to the model.
@@ -243,12 +238,7 @@ class DriftMonitor:
         # Fresh partition of the same cells: what the pipeline says *now*
         # about the mass the sketch holds, at the serving resolution.
         coarse = sketch.grid.coarsen(factors)
-        pipe = run_grid_pipeline(
-            coarse,
-            level=self.model_.level,
-            workspace=self._workspace,
-            **self._fresh_params(),
-        )
+        pipe = run_grid_pipeline(coarse, level=self.model_.level, **self._fresh_params())
         fresh = CellLabelIndex(pipe.cell_coords, pipe.cell_labels).lookup(
             coords // combined
         )

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.transform import Workspace
 from repro.grid.sparse_grid import SparseGrid
 from repro.tune.pyramid import DEFAULT_MIN_SCALE, GridPyramid
 from repro.tune.scoring import CandidateScore, score_candidates
@@ -156,8 +155,6 @@ def tune_pyramid(
     levels: Sequence[int] = (1,),
     min_scale: int = DEFAULT_MIN_SCALE,
     factors: Optional[Sequence[int]] = None,
-    n_workers: Optional[int] = None,
-    workspace: Optional[Workspace] = None,
     **pipeline_params,
 ) -> TuneResult:
     """Build the pyramid from one base quantization, sweep, score and select.
@@ -171,13 +168,7 @@ def tune_pyramid(
     only the non-resolution axes sweep.
     """
     pyramid = GridPyramid(base_grid, min_scale=min_scale, factors=factors)
-    candidates = sweep_pyramid(
-        pyramid,
-        levels=levels,
-        n_workers=n_workers,
-        workspace=workspace,
-        **pipeline_params,
-    )
+    candidates = sweep_pyramid(pyramid, levels=levels, **pipeline_params)
     scores = score_candidates(candidates, pyramid.levels[0].grid.values)
     return TuneResult(
         best=select_best(scores), scores=scores, base_scale=pyramid.base_scale

@@ -7,24 +7,16 @@ derived from one quantization, it runs transform + threshold + components on
 every (resolution, decomposition-level) candidate and collects label-free
 diagnostics for the scoring step -- so sweeping ``S`` resolutions costs
 about one fit plus ``S`` cheap grid passes, not ``S`` fits.
-
-Candidates are independent, so with ``n_workers > 1`` they fan out over a
-thread pool, the same pattern as :func:`repro.serve.parallel_ingest` and
-``BatchRunner.run_many``: the hot stages are numpy calls that release the
-GIL, so threads scale on multi-core hosts with zero serialization cost.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.pipeline import GridPipelineResult, run_grid_pipeline
-from repro.core.transform import Workspace
 from repro.grid.lookup import NOISE_LABEL, CellLabelIndex
 from repro.grid.sparse_grid import SparseGrid
 from repro.tune.pyramid import GridPyramid, PyramidLevel
@@ -92,7 +84,6 @@ def evaluate_candidate(
     *,
     level: int = 1,
     base_factor: int = 1,
-    workspace: Optional[Workspace] = None,
     **pipeline_params,
 ) -> Candidate:
     """Run the grid pipeline on one pyramid level and derive its diagnostics.
@@ -104,9 +95,7 @@ def evaluate_candidate(
     per-cell cluster assignment is expressed over those shared cells so
     candidates at different resolutions are directly comparable.
     """
-    pipe = run_grid_pipeline(
-        pyramid_level.grid, level=level, workspace=workspace, **pipeline_params
-    )
+    pipe = run_grid_pipeline(pyramid_level.grid, level=level, **pipeline_params)
     # A comparison cell's transformed-space cell under this candidate:
     # coarsen from the comparison resolution to the candidate resolution
     # (// relative factor), then apply the wavelet downsampling
@@ -139,8 +128,6 @@ def sweep_pyramid(
     pyramid: GridPyramid,
     *,
     levels: Sequence[int] = (1,),
-    n_workers: Optional[int] = None,
-    workspace: Optional[Workspace] = None,
     **pipeline_params,
 ) -> List[Candidate]:
     """Evaluate every (pyramid x decomposition x wavelet x policy) candidate.
@@ -175,41 +162,19 @@ def sweep_pyramid(
     base_factor = pyramid.levels[0].factor
     base_coords = base.coords
     base_values = base.values
-    jobs = [
-        (pyramid_level, level, wavelet, threshold)
-        for level in levels
-        for wavelet in wavelets
-        for threshold in thresholds
-        for pyramid_level in pyramid.levels
-    ]
-
-    def _run(job, scratch: Optional[Workspace]) -> Candidate:
-        pyramid_level, level, wavelet, threshold = job
-        return evaluate_candidate(
+    return [
+        evaluate_candidate(
             pyramid_level,
             base_coords,
             base_values,
             level=level,
             base_factor=base_factor,
-            workspace=scratch,
             wavelet=wavelet,
             threshold=threshold,
             **pipeline_params,
         )
-
-    if n_workers is None or n_workers <= 1 or len(jobs) <= 1:
-        return [_run(job, workspace) for job in jobs]
-    # Candidates are independent; fan out like BatchRunner.run_many, each
-    # worker thread with one private scratch workspace reused across all the
-    # jobs it processes.
-    thread_state = threading.local()
-
-    def _run_threaded(job) -> Candidate:
-        scratch = getattr(thread_state, "workspace", None)
-        if scratch is None:
-            scratch = thread_state.workspace = Workspace()
-        return _run(job, scratch)
-
-    with ThreadPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
-        futures = [pool.submit(_run_threaded, job) for job in jobs]
-        return [future.result() for future in futures]
+        for level in levels
+        for wavelet in wavelets
+        for threshold in thresholds
+        for pyramid_level in pyramid.levels
+    ]

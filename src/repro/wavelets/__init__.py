@@ -12,10 +12,8 @@ transform is implemented here from scratch:
   synthesis with periodized, zero-padded and symmetric boundary handling.
 * :mod:`repro.wavelets.lifting` -- lifting-scheme implementations of the
   CDF(2,2) (LeGall 5/3) and CDF 9/7 transforms with exact integer-free
-  perfect reconstruction.
-* :mod:`repro.wavelets.backends` -- pluggable batched approximation-only
-  kernels for the grid-transform hot path (numpy reference, batched lifting,
-  optional numba), behind a registry with ``"auto"`` resolution.
+  perfect reconstruction, and their batched approximation-only kernels for
+  the grid transform.
 * :mod:`repro.wavelets.ndwt` -- separable n-dimensional transforms (the 2-D
   LL/LH/HL/HH decomposition of Section III-A.2 and its d-dimensional
   generalisation).
@@ -23,16 +21,6 @@ transform is implemented here from scratch:
   thresholding used for denoising.
 """
 
-from repro.wavelets.backends import (
-    LiftingBackend,
-    NumpyBackend,
-    TransformBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    unregister_backend,
-)
 from repro.wavelets.filters import Wavelet, available_wavelets, build_wavelet
 from repro.wavelets.dwt import (
     dwt,
@@ -63,14 +51,6 @@ __all__ = [
     "Wavelet",
     "available_wavelets",
     "build_wavelet",
-    "TransformBackend",
-    "NumpyBackend",
-    "LiftingBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "unregister_backend",
     "dwt",
     "dwt_batch",
     "idwt",

@@ -128,6 +128,22 @@ def _dwt_periodized(signal: np.ndarray, wavelet: Wavelet) -> Tuple[np.ndarray, n
     return approx, detail
 
 
+def even_line_matrix(signals) -> np.ndarray:
+    """``signals`` as a 2-D float64 ``(batch, n)`` array of even ``n``.
+
+    Odd-length rows are padded to even length by repeating their final
+    sample, as every periodized transform here does.
+    """
+    signals = np.asarray(signals, dtype=np.float64)
+    if signals.ndim != 2:
+        raise ValueError(f"signals must be a 2-D (batch, n) array; got shape {signals.shape}.")
+    if signals.shape[1] == 0:
+        raise ValueError("cannot transform empty signals.")
+    if signals.shape[1] % 2 == 1:
+        signals = np.concatenate([signals, signals[:, -1:]], axis=1)
+    return signals
+
+
 def dwt_batch(signals, wavelet, mode: str = "periodization", approx_only: bool = False):
     """Single-level DWT of many equal-length signals at once.
 
@@ -154,21 +170,13 @@ def dwt_batch(signals, wavelet, mode: str = "periodization", approx_only: bool =
     """
     if mode != "periodization":
         raise ValueError(f"dwt_batch only supports mode='periodization'; got {mode!r}.")
-    signals = np.asarray(signals, dtype=np.float64)
-    if signals.ndim != 2:
-        raise ValueError(f"signals must be a 2-D (batch, n) array; got shape {signals.shape}.")
-    if signals.shape[1] == 0:
-        raise ValueError("cannot transform empty signals.")
+    signals = even_line_matrix(signals)
     bank = build_wavelet(wavelet)
-    n = signals.shape[1]
-    if n % 2 == 1:
-        signals = np.concatenate([signals, signals[:, -1:]], axis=1)
-        n += 1
-    lo_idx, hi_idx = _periodized_indices(bank, n)
+    lo_idx, hi_idx = _periodized_indices(bank, signals.shape[1])
     # The fancy-indexed gather is not C-contiguous (the advanced-index dims
     # are moved), which routes the matmul through a layout-dependent kernel.
     # Copying to contiguous first keeps the numerics layout-independent (so
-    # the lifting backend can be pinned bit-for-bit against this path) and
+    # the Haar lifting kernel can be pinned bit-for-bit against this path) and
     # lets the stacked matmul use the fast contiguous loop.
     approx = np.ascontiguousarray(signals[:, lo_idx]) @ bank.dec_lo
     if approx_only:

@@ -184,6 +184,34 @@ class TestAdaWaveParameters:
         assert "scale=64" in repr(AdaWave(scale=64))
 
 
+class TestInputValidation:
+    def test_fit_checks_its_input_twice(self, monkeypatch):
+        # Each check_array is an np.isfinite pass over all of X (about 2 ms
+        # per million 2-D points): AdaWave.fit checks X once and
+        # GridQuantizer.fit_transform once more, then fits the bounds and
+        # quantizes from that one validated array.
+        import sys
+
+        from repro.utils import validation
+
+        original = validation.check_array
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("name"))
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if (
+                getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, "check_array", None) is original
+            ):
+                monkeypatch.setattr(module, "check_array", counting)
+        points, _ = two_blob_dataset()
+        AdaWave(scale=64).fit(points)
+        assert calls == ["X", "X"]
+
+
 class TestAdaWaveEdgeCases:
     def test_single_sample_raises_clear_error(self):
         with pytest.raises(ValueError, match="single sample"):

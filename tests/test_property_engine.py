@@ -209,18 +209,16 @@ class TestEndToEndEngineEquivalence:
     @given(seed=st.integers(min_value=0, max_value=30))
     @settings(max_examples=10, deadline=None)
     def test_engines_produce_identical_labels(self, seed):
-        # Every registered backend must reproduce the per-cell reference
+        # The default (lifting) fit must reproduce the per-cell reference
         # labels: the survivor cut is tie-snapped (repro.core.pipeline
-        # .snapped_cut), so last-ulp rounding differences between backends
-        # cannot flip exact density ties at the threshold.
-        from repro.wavelets.backends import available_backends
-
+        # .snapped_cut), so last-ulp rounding differences between lifting
+        # and the reference's convolution cannot flip exact density ties at
+        # the threshold.
         rng = np.random.default_rng(seed)
         blob = rng.normal(loc=0.3, scale=0.04, size=(150, 2))
         noise = rng.uniform(size=(150, 2))
         X = np.vstack([blob, noise])
         ref = reference.fit_reference(X, scale=32)
-        for backend in available_backends():
-            vec = AdaWave(scale=32, backend=backend).fit(X)
-            np.testing.assert_array_equal(vec.labels_, ref.labels)
-            assert vec.n_clusters_ == ref.n_clusters
+        vec = AdaWave(scale=32).fit(X)
+        np.testing.assert_array_equal(vec.labels_, ref.labels)
+        assert vec.n_clusters_ == ref.n_clusters

@@ -183,6 +183,18 @@ class TestClusterModelGoldenRoundTrips:
         assert loaded.n_clusters == model.n_clusters
         assert loaded.metadata == model.metadata
 
+    def test_artifact_with_transform_backend_key_still_loads(self, fitted, tmp_path):
+        # Artifacts written while the transform kernel was selectable carry
+        # metadata["transform_backend"]; fits no longer record it, since the
+        # kernel follows from the recorded wavelet.
+        X, estimator = fitted
+        model = estimator.export_model()
+        assert "transform_backend" not in model.metadata
+        model.metadata["transform_backend"] = "lifting"
+        loaded = ClusterModel.load(model.save(tmp_path / "old.npz"))
+        assert loaded.metadata["transform_backend"] == "lifting"
+        np.testing.assert_array_equal(loaded.predict(X), estimator.labels_)
+
     def test_save_is_deterministic(self, fitted, tmp_path):
         _, estimator = fitted
         model = estimator.export_model()

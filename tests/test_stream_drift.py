@@ -92,6 +92,35 @@ class TestDriftMonitor:
             monitor.assess(coarse)
 
 
+class TestDriftMonitorMemory:
+    def test_drift_check_holds_no_scratch(self):
+        # 80k points in a 256^2 sketch occupy about 41k cells.  A check
+        # needs only line matrices of the occupied lines; a scratch buffer
+        # sized occupied cells x line length (84 MB peak, 79 MB held for the
+        # monitor's life) must not come back.
+        import gc
+        import tracemalloc
+
+        points = drifting_dataset(1.0, n_per_cluster=4000, seed=0).points
+        sketch = StreamSketch(BOUNDS, 256, 2)
+        sketch.ingest(points)
+        assert len(points) == 80_000 and sketch.grid.n_occupied > 40_000
+        model = AdaWave(scale=256, bounds=BOUNDS).fit(points).export_model()
+        DriftMonitor().rebase(model, sketch).assess(sketch)  # warm caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            monitor = DriftMonitor()
+            monitor.rebase(model, sketch)
+            report = monitor.assess(sketch)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.drifted
+        assert peak < 16 * 2**20, f"drift check peaked at {peak / 2**20:.1f} MB"
+        assert held < 2**20, f"monitor holds {held / 2**20:.1f} MB after the check"
+
+
 class TestStreamControllerLoop:
     def test_publishes_after_warmup(self, stationary):
         controller = StreamController("warm", BOUNDS, 2, warmup=500)

@@ -117,23 +117,6 @@ class TestTuneResultSurface:
         assert refit.tune_result_ is None
         assert "tuning" not in refit.export_model().metadata
 
-    def test_parallel_sweep_matches_serial(self, tuned):
-        model, dataset = tuned
-        # Rebuild the base quantization and compare serial vs threaded sweeps.
-        from repro.grid.quantizer import GridQuantizer
-        from repro.tune.pyramid import default_base_scale
-
-        base = GridQuantizer(scale=default_base_scale(2)).fit_transform(
-            dataset.points
-        ).grid
-        serial = tune_pyramid(base, levels=(1,))
-        threaded = tune_pyramid(base, levels=(1,), n_workers=4)
-        assert serial.scale == threaded.scale
-        assert serial.level == threaded.level
-        assert [s.total for s in serial.scores] == pytest.approx(
-            [s.total for s in threaded.scores]
-        )
-
     def test_tune_levels_sweeps_decomposition_levels(self):
         dataset = running_example(noise_fraction=0.75, n_per_cluster=800, seed=0)
         model = AdaWave(scale="tune", tune_levels=(1, 2)).fit(dataset.points)
