@@ -18,7 +18,7 @@ three consumers share a single implementation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.core.threshold import ThresholdDiagnostics, adaptive_threshold
 from repro.core.transform import wavelet_smooth_grid
 from repro.grid.connectivity import label_components_array
 from repro.grid.sparse_grid import SparseGrid
-from repro.obs.trace import StageTimer
+from repro.obs.trace import Trace
 from repro.wavelets.thresholding import LevelPolicy
 
 #: Dimensionalities up to which ``connectivity="auto"`` resolves to "full".
@@ -143,8 +143,9 @@ class GridPipelineResult:
 
     ``stage_seconds`` is the wall-clock breakdown of this run over the three
     grid-side stages (``transform`` / ``threshold`` / ``extract``) -- the
-    same shape of record the serving plane keeps per request, here available
-    for tuning provenance and artifact metadata.  ``wavelet`` records the
+    :meth:`~repro.obs.trace.Trace.stage_seconds` of the run's spans, the
+    same record the serving plane keeps per request, here available for
+    tuning provenance and artifact metadata.  ``wavelet`` records the
     basis and ``threshold_policy`` the canonical level-policy name the run
     used (provenance for artifacts).
     """
@@ -170,7 +171,6 @@ def run_grid_pipeline(
     connectivity: str = "auto",
     min_cluster_cells: int = 3,
     angle_divisor: float = 3.0,
-    timer: Optional[StageTimer] = None,
 ) -> GridPipelineResult:
     """Run transform, threshold and component extraction on one grid.
 
@@ -178,10 +178,8 @@ def run_grid_pipeline(
     callers holding one quantization can afford to run it many times (per
     decomposition level, per pyramid resolution, ...).
 
-    Pass a :class:`~repro.obs.trace.StageTimer` as ``timer`` to accumulate
-    the per-stage wall clock across *many* runs (a pyramid sweep, a
-    multi-level decomposition); the per-run breakdown is always available on
-    ``GridPipelineResult.stage_seconds`` regardless.
+    Each stage runs in a :meth:`~repro.obs.trace.Trace.span`; the per-run
+    breakdown is ``GridPipelineResult.stage_seconds``.
 
     ``threshold`` selects the denoising level policy
     (:class:`~repro.wavelets.LevelPolicy` or one of its spellings --
@@ -193,23 +191,20 @@ def run_grid_pipeline(
     selection (``threshold_method``) and survivor extraction are unchanged.
     """
     policy = LevelPolicy.parse(threshold)
-    run_timer = StageTimer()
-    with run_timer.stage("transform"):
+    trace = Trace()
+    with trace.span("transform"):
         transformed, _shape = wavelet_smooth_grid(
             grid, wavelet=wavelet, level=level,
             shrink=policy if policy.denoises else None,
         )
-    with run_timer.stage("threshold"):
+    with trace.span("threshold"):
         diagnostics = select_threshold(transformed, threshold_method, angle_divisor)
-    with run_timer.stage("extract"):
+    with trace.span("extract"):
         cell_coords, cell_labels = extract_clusters(
             transformed, diagnostics.threshold, grid.ndim, connectivity,
             min_cluster_cells,
         )
     n_clusters = int(cell_labels.max()) + 1 if len(cell_labels) else 0
-    if timer is not None:
-        for name, seconds in run_timer.seconds.items():
-            timer.add(name, seconds)
     return GridPipelineResult(
         transformed=transformed,
         threshold=diagnostics,
@@ -217,7 +212,7 @@ def run_grid_pipeline(
         cell_labels=cell_labels,
         n_clusters=n_clusters,
         level=level,
-        stage_seconds=run_timer.as_dict(),
+        stage_seconds=trace.stage_seconds(),
         wavelet=getattr(wavelet, "name", None) or str(wavelet),
         threshold_policy=policy.name,
     )

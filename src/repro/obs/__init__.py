@@ -41,7 +41,6 @@ from repro.obs.trace import (
     STAGE_WORKER_PREDICT,
     STAGES,
     Span,
-    StageTimer,
     Trace,
     WorkerStamps,
     apply_worker_stamps,
@@ -74,7 +73,6 @@ __all__ = [
     "STAGE_WORKER_PREDICT",
     "STAGES",
     "Span",
-    "StageTimer",
     "Trace",
     "WorkerStamps",
     "apply_worker_stamps",

@@ -6,12 +6,10 @@ format a stock Prometheus server scrapes, with no third-party client
 library:
 
 * counters end in ``_total``;
-* the per-stage latency histograms emit proper cumulative
-  ``_bucket{le=...}`` series plus ``_sum`` and ``_count`` (the last bucket
-  is always ``le="+Inf"`` and equals ``_count``);
-* the reservoir-backed latency distributions (per-model predict, per-route
-  edge) emit as summaries: ``{quantile="0.5"}`` series plus ``_sum`` and
-  ``_count``;
+* every latency histogram -- per stage, per-model predict, per-route
+  edge round trip -- emits proper cumulative ``_bucket{le=...}`` series
+  plus ``_sum`` and ``_count`` (the last bucket is always ``le="+Inf"``
+  and equals ``_count``);
 * label values are escaped per the exposition spec (backslash, quote,
   newline).
 
@@ -83,26 +81,6 @@ class _Writer:
         self.lines.append(f"{name}{format_labels(labels)} {format_value(value)}")
 
 
-def _summary(
-    writer: _Writer,
-    name: str,
-    help_text: str,
-    labels: Dict[str, Any],
-    distribution: Mapping[str, Any],
-    count: int,
-    total: float,
-) -> None:
-    """One reservoir-backed distribution as a Prometheus summary."""
-    writer.header(name, "summary", help_text)
-    for key, value in distribution.items():
-        if not key.startswith("p"):
-            continue
-        quantile = float(key[1:]) / 100.0
-        writer.sample(name, {**labels, "quantile": format_value(quantile)}, value)
-    writer.sample(f"{name}_sum", labels, total)
-    writer.sample(f"{name}_count", labels, count)
-
-
 def _histogram(
     writer: _Writer,
     name: str,
@@ -140,12 +118,12 @@ def render_prometheus(
         name = f"{prefix}_predict_rows_total"
         w.header(name, "counter", "Points labeled per model.")
         w.sample(name, labels, series["rows"])
-        _summary(
+        _histogram(
             w,
             f"{prefix}_predict_latency_seconds",
-            "Per-pass predict latency (bounded reservoir quantiles).",
+            "Per-pass predict latency per model.",
             labels,
-            series["latency"],
+            series["latency"].get("buckets", ()),
             series["count"],
             series["latency"].get("total", 0.0),
         )
@@ -223,12 +201,12 @@ def render_prometheus(
         w.header(name, "counter", "HTTP requests answered, by route and status.")
         for status, count in sorted(series.get("by_status", {}).items()):
             w.sample(name, {"route": route, "status": status}, count)
-        _summary(
+        _histogram(
             w,
             f"{prefix}_edge_latency_seconds",
-            "Edge round-trip latency per route (reservoir quantiles).",
+            "Edge round-trip latency per route.",
             {"route": route},
-            series.get("latency", {}),
+            series.get("latency", {}).get("buckets", ()),
             series["count"],
             series.get("latency", {}).get("total", 0.0),
         )

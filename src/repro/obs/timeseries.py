@@ -1,12 +1,13 @@
 """Fixed-memory windowed time series over serving telemetry.
 
 :class:`~repro.serve.metrics.Telemetry` answers "how is the service doing
-*right now*" -- every counter and reservoir is cumulative or point-in-time.
-Operating a serving plane needs the other axis too: was the request rate
-climbing before the p99 spike, is RSS creeping, did the error rate start
-burning five minutes ago or five seconds ago.  This module supplies that
-memory at constant cost: a :class:`TimeSeriesStore` of per-series ring
-buffers, each holding the last ``capacity`` buckets of ``step`` seconds.
+*right now*" -- every counter and latency histogram is cumulative or
+point-in-time.  Operating a serving plane needs the other axis too: was the
+request rate climbing before the p99 spike, is RSS creeping, did the error
+rate start burning five minutes ago or five seconds ago.  This module
+supplies that memory at constant cost: a :class:`TimeSeriesStore` of
+per-series ring buffers, each holding the last ``capacity`` buckets of
+``step`` seconds.
 
 Three series kinds cover everything the monitoring plane records:
 
@@ -20,13 +21,14 @@ Three series kinds cover everything the monitoring plane records:
   still shows the spike a single sample would miss;
   :meth:`TimeSeriesStore.quantile` computes windowed quantiles over the
   bucket ``last`` values.
-* ``histogram`` -- a cumulative bucket-count vector (the shape
-  :class:`~repro.serve.metrics.Telemetry`'s per-stage histograms already
-  have).  Sampling the vector on a cadence makes *windowed* latency
-  quantiles possible: the difference between the newest and the
+* ``histogram`` -- a vector of lifetime counts per latency bucket, the
+  shape of :class:`~repro.serve.metrics.LatencyHistogram` (per-stage and
+  per-route latencies).  Sampling the vector on a cadence makes *windowed*
+  latency quantiles possible: the difference between the newest and the
   pre-window vectors is the histogram of exactly the observations that
   landed inside the window, and :meth:`TimeSeriesStore.quantile` reads
-  p50/p99 off it.
+  p50/p99 off it with :func:`bucket_quantile`, the same rule a
+  ``Telemetry`` snapshot applies to the lifetime counts.
 
 Everything is bounded: ``capacity`` buckets per series, ``max_series``
 series per store (late registrations are dropped and counted, never
@@ -52,6 +54,28 @@ DEFAULT_CAPACITY = 300
 DEFAULT_MAX_SERIES = 512
 
 _KINDS = ("counter", "gauge", "histogram")
+
+
+def bucket_quantile(
+    bounds: Sequence[float], counts: Sequence[int], q: float
+) -> Optional[float]:
+    """Upper bound of the bucket that holds the ``q``-th counted observation.
+
+    ``counts`` holds one count per finite bound plus a trailing ``+Inf``
+    overflow slot, which reports the top finite bound.  ``None`` when
+    nothing was counted.  The one quantile rule of every latency
+    histogram: windowed series quantiles and snapshot quantiles.
+    """
+    total = sum(counts)
+    if total == 0:
+        return None
+    target = q * total
+    running = 0
+    for index, count in enumerate(counts):
+        running += count
+        if running >= target and count:
+            break
+    return bounds[min(index, len(bounds) - 1)]
 
 
 class RingSeries:
@@ -182,7 +206,10 @@ class RingSeries:
         if not slots:
             return None
         if self.kind == "histogram":
-            return self._histogram_quantile(float(q), slots, at, window)
+            deltas = self._window_deltas(slots)
+            return None if deltas is None else bucket_quantile(
+                self.bounds, deltas, float(q)
+            )
         values = sorted(self._last[slot] for slot in slots)
         # Nearest-rank on the bucket aggregates: cheap and monotone in q.
         index = min(int(q * len(values)), len(values) - 1)
@@ -237,25 +264,6 @@ class RingSeries:
             if index >= len(self.bounds) or self.bounds[index] > threshold
         )
         return bad / total
-
-    def _histogram_quantile(
-        self, q: float, slots: List[int], at: float, window: float
-    ) -> Optional[float]:
-        deltas = self._window_deltas(slots)
-        if deltas is None:
-            return None
-        total = sum(deltas)
-        if total == 0:
-            return None
-        target = q * total
-        running = 0
-        for index, count in enumerate(deltas):
-            running += count
-            if running >= target and count:
-                if index < len(self.bounds):
-                    return self.bounds[index]
-                return self.bounds[-1]  # +Inf overflow: report the top bound
-        return self.bounds[-1]
 
     def points(self, window: float, at: float) -> List[List[float]]:
         """Chronological ``[t, value, ...]`` rows for the in-window buckets.

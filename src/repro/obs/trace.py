@@ -24,10 +24,12 @@ worker dies is *closed with an error span* covering the unaccounted tail --
 doomed traces never leak, they surface in the slow-trace ring with the
 failure attached.
 
-:class:`StageTimer` is the offline sibling: a plain accumulating named-stage
-timer threaded through :func:`repro.core.pipeline.run_grid_pipeline` so a
-single fit (or a drift re-tune) records the same kind of stage breakdown
-into tuning/artifact provenance.
+The offline side uses the same model:
+:func:`repro.core.pipeline.run_grid_pipeline` and
+:class:`~repro.stream.StreamController`'s re-tune wrap their stages in
+:meth:`Trace.span` and publish :meth:`Trace.stage_seconds` into artifact
+metadata, so a fit (or a drift re-tune) records the same kind of stage
+breakdown as a served request.
 """
 
 from __future__ import annotations
@@ -269,46 +271,6 @@ class Trace:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = f"{self.total_seconds * 1e3:.2f}ms" if self.closed else "open"
         return f"Trace({self.trace_id}, model={self.model!r}, {state})"
-
-
-class StageTimer:
-    """Accumulating named-stage timer for offline pipelines.
-
-    The batch-side analogue of :class:`Trace`: fit/tune code wraps each
-    pipeline stage in :meth:`stage` and ships :meth:`as_dict` into artifact
-    metadata or tuning provenance.  Re-entered stage names accumulate, so
-    one timer can ride through a whole pyramid sweep and report per-stage
-    totals across every candidate.
-    """
-
-    __slots__ = ("seconds", "counts")
-
-    def __init__(self) -> None:
-        self.seconds: Dict[str, float] = {}
-        self.counts: Dict[str, int] = {}
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-            self.counts[name] = self.counts.get(name, 0) + 1
-
-    def add(self, name: str, seconds: float) -> None:
-        """Record an externally measured duration under ``name``."""
-        self.seconds[name] = self.seconds.get(name, 0.0) + float(seconds)
-        self.counts[name] = self.counts.get(name, 0) + 1
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain ``{stage: seconds}`` snapshot (JSON-able)."""
-        return dict(self.seconds)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        parts = ", ".join(f"{k}={v * 1e3:.1f}ms" for k, v in self.seconds.items())
-        return f"StageTimer({parts})"
 
 
 #: The worker-side stamp tuple shipped back in every predict answer:

@@ -30,10 +30,10 @@ serving stack:
   ``POST /swap/<name>``, ``/healthz`` and ``/metrics``, with per-request
   deadline propagation (``X-Deadline-Ms`` -> bounded backpressure, 429/504
   load shedding) and graceful drain on close;
-* :class:`Telemetry` -- the shared metrics surface (per-model latency
-  quantiles, batch sizes, queue depth, swap counts, worker respawns, drift
-  history, per-stage latency histograms, per-route edge quantiles and the
-  slow-trace ring) every serving component reports into; Prometheus text
+* :class:`Telemetry` -- the shared metrics surface (per-model, per-stage
+  and per-route edge latency histograms, batch sizes, queue depth, swap
+  counts, worker respawns, drift history and the slow-trace ring) every
+  serving component reports into; Prometheus text
   exposition lives in :mod:`repro.obs` and ``Telemetry.to_prometheus()``;
 * :class:`SlotRing` -- the zero-copy shared-memory data plane the
   multi-process service ships float batches through (queues carry only

@@ -8,13 +8,16 @@ admission control records queue depth and rejections, blue/green publication
 records swaps, and :class:`~repro.stream.StreamController` records its
 drift-check history and contained callback failures.
 
-Everything is aggregated in-process under one lock: bounded reservoirs for
-the latency/batch-size distributions (so an always-on service never grows),
-plain counters for the rest.  :meth:`Telemetry.snapshot` returns a nested
-plain-``dict`` view (JSON-able) at any time, and an optional ``sink``
-callable receives every event as it is recorded, so tests, benchmarks and
-exporters can introspect the stream without polling.  A failing sink is
-contained and counted, never propagated into the serving path.
+Everything is aggregated in-process under one lock.  Every latency --
+per-model predicts, per-route edge round trips, serving and pipeline
+stages -- is counted into one :class:`LatencyHistogram` of fixed
+:data:`STAGE_BUCKETS` cells, so an always-on service never grows and a
+snapshot costs O(buckets); the rest are plain counters.
+:meth:`Telemetry.snapshot` returns a nested plain-``dict`` view (JSON-able)
+at any time, and an optional ``sink`` callable receives every event as it
+is recorded, so tests, benchmarks and exporters can introspect the stream
+without polling.  A failing sink is contained and counted, never propagated
+into the serving path.
 """
 
 from __future__ import annotations
@@ -27,16 +30,14 @@ from bisect import bisect_left
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.obs.timeseries import TimeSeriesStore
+from repro.obs.timeseries import TimeSeriesStore, bucket_quantile
 
 #: Latency quantiles exported by :meth:`Telemetry.snapshot`.
 QUANTILES = (0.5, 0.9, 0.99)
 
-#: Upper bounds (seconds) of the per-stage latency histograms: log-spaced
-#: from 10us to 10s, covering everything from a queue hand-off to a
-#: deadline-blown worker pass.  The final implicit bucket is ``+Inf``.
+#: Upper bounds (seconds) of every latency histogram: log-spaced from 10us
+#: to 10s, covering everything from a queue hand-off to a deadline-blown
+#: worker pass.  The final implicit bucket is ``+Inf``.
 STAGE_BUCKETS = (
     1e-5, 2.5e-5, 5e-5,
     1e-4, 2.5e-4, 5e-4,
@@ -47,13 +48,16 @@ STAGE_BUCKETS = (
 )
 
 
-class _StageSeries:
-    """Fixed-bucket latency histogram for one serving-path stage.
+class LatencyHistogram:
+    """Fixed-bucket latency histogram: count, total, max and bucket counts.
 
-    Unlike the reservoir-backed predict series, stage observations land in
-    pre-sized cumulative-at-snapshot buckets, so the memory cost is constant
-    no matter how hot the path is -- the natural shape for Prometheus
-    ``_bucket``/``_sum``/``_count`` exposition.
+    The one latency distribution of the serving plane: stages, per-model
+    predicts and per-route edge round trips all observe into one.
+    Observations are counted into the :data:`STAGE_BUCKETS` cells instead of
+    kept, so the memory cost is constant no matter how hot the path is --
+    the natural shape for Prometheus ``_bucket``/``_sum``/``_count``
+    exposition and for the windowed ``histogram`` series of
+    :class:`~repro.obs.timeseries.TimeSeriesStore`.
     """
 
     __slots__ = ("count", "seconds_total", "seconds_max", "bucket_counts")
@@ -86,32 +90,45 @@ class _StageSeries:
         out.append(["+Inf", self.count])
         return out
 
+    def latency(self) -> Dict[str, Any]:
+        """``p50/p90/p99``, ``mean``, ``max``, ``total`` and ``buckets``.
 
-class _EdgeSeries:
-    """Per-route HTTP statistics: status counts + round-trip reservoir."""
+        A quantile is the upper bound of the bucket that holds the q-th
+        observation (:func:`~repro.obs.timeseries.bucket_quantile`, the rule
+        windowed series quantiles apply), capped at the observed max.
+        """
+        stats: Dict[str, Any] = {
+            f"p{int(q * 100)}": min(
+                bucket_quantile(STAGE_BUCKETS, self.bucket_counts, q),
+                self.seconds_max,
+            )
+            for q in QUANTILES
+        }
+        stats["mean"] = self.seconds_total / self.count
+        stats["max"] = self.seconds_max
+        stats["total"] = self.seconds_total
+        stats["buckets"] = self.cumulative_buckets()
+        return stats
 
-    __slots__ = ("count", "by_status", "latencies", "seconds_total", "seconds_max")
 
-    def __init__(self, reservoir: int) -> None:
-        self.count = 0
+class _EdgeSeries(LatencyHistogram):
+    """Per-route HTTP statistics: round-trip histogram + status counts."""
+
+    __slots__ = ("by_status",)
+
+    def __init__(self) -> None:
+        super().__init__()
         self.by_status: Dict[str, int] = {}
-        self.latencies: Deque[float] = deque(maxlen=reservoir)
-        self.seconds_total = 0.0
-        self.seconds_max = 0.0
 
 
-class _PredictSeries:
-    """Bounded per-model predict statistics (latency + batch size)."""
+class _PredictSeries(LatencyHistogram):
+    """Per-model predict statistics: latency histogram + batch sizes."""
 
-    __slots__ = ("count", "rows", "seconds_total", "seconds_max", "latencies",
-                 "batch_max")
+    __slots__ = ("rows", "batch_max")
 
-    def __init__(self, reservoir: int) -> None:
-        self.count = 0
+    def __init__(self) -> None:
+        super().__init__()
         self.rows = 0
-        self.seconds_total = 0.0
-        self.seconds_max = 0.0
-        self.latencies: Deque[float] = deque(maxlen=reservoir)
         self.batch_max = 0
 
 
@@ -120,10 +137,6 @@ class Telemetry:
 
     Parameters
     ----------
-    reservoir:
-        Per-model latency samples retained for quantile estimation (a
-        sliding reservoir of the most recent passes; counters and totals
-        remain exact over the full lifetime).
     history_limit:
         Drift-check reports retained in :meth:`snapshot`'s history.
     slow_traces:
@@ -144,26 +157,22 @@ class Telemetry:
         periodic rollups from :meth:`sample_series` (a fresh store with
         1-second steps is created when omitted).  Point-in-time aggregates
         become windowed history: request/error rates, per-stage and
-        per-route latency quantiles, queue depth -- exported under
+        per-route latency histograms, queue depth -- exported under
         ``snapshot()["series"]`` and as Prometheus gauges.
     """
 
     def __init__(
         self,
         *,
-        reservoir: int = 2048,
         history_limit: int = 256,
         slow_traces: int = 32,
         sink: Optional[Callable[[Dict[str, Any]], None]] = None,
         series: Optional[TimeSeriesStore] = None,
     ) -> None:
-        if int(reservoir) < 1:
-            raise ValueError(f"reservoir must be >= 1; got {reservoir}.")
         if int(history_limit) < 1:
             raise ValueError(f"history_limit must be >= 1; got {history_limit}.")
         if int(slow_traces) < 1:
             raise ValueError(f"slow_traces must be >= 1; got {slow_traces}.")
-        self.reservoir = int(reservoir)
         self.slow_traces = int(slow_traces)
         self.sink = sink
         self.series = series if series is not None else TimeSeriesStore()
@@ -183,7 +192,7 @@ class Telemetry:
         self._callback_errors = 0
         self._last_callback_error: Optional[str] = None
         self._sink_errors = 0
-        self._stages: Dict[str, _StageSeries] = {}
+        self._stages: Dict[str, LatencyHistogram] = {}
         self._edge: Dict[str, _EdgeSeries] = {}
         self._trace_count = 0
         self._trace_errors = 0
@@ -208,12 +217,9 @@ class Telemetry:
         with self._lock:
             series = self._predict.get(model)
             if series is None:
-                series = self._predict[model] = _PredictSeries(self.reservoir)
-            series.count += 1
+                series = self._predict[model] = _PredictSeries()
+            series.observe(seconds)
             series.rows += int(batch_size)
-            series.seconds_total += float(seconds)
-            series.seconds_max = max(series.seconds_max, float(seconds))
-            series.latencies.append(float(seconds))
             series.batch_max = max(series.batch_max, int(batch_size))
         self._emit({"event": "predict", "model": model,
                     "seconds": float(seconds), "batch_size": int(batch_size)})
@@ -261,16 +267,16 @@ class Telemetry:
     def record_stage(self, stage: str, seconds: float) -> None:
         """One observation of a named serving-path (or pipeline) stage.
 
-        Stage observations aggregate into fixed log-spaced histograms
-        (:data:`STAGE_BUCKETS`), exported as proper cumulative Prometheus
-        histograms.  Not streamed to the sink individually -- one traced
-        request produces ~8 of these, which would drown the event stream;
+        Each stage has its own :class:`LatencyHistogram`, exported as a
+        proper cumulative Prometheus histogram.  Not streamed to the sink
+        individually -- one traced request produces ~8 of these, which
+        would drown the event stream;
         :meth:`record_trace` emits a single summarising event instead.
         """
         with self._lock:
             series = self._stages.get(stage)
             if series is None:
-                series = self._stages[stage] = _StageSeries()
+                series = self._stages[stage] = LatencyHistogram()
             series.observe(seconds)
 
     def record_edge_request(self, route: str, status: int, seconds: float) -> None:
@@ -278,13 +284,10 @@ class Telemetry:
         with self._lock:
             series = self._edge.get(route)
             if series is None:
-                series = self._edge[route] = _EdgeSeries(self.reservoir)
-            series.count += 1
+                series = self._edge[route] = _EdgeSeries()
+            series.observe(seconds)
             key = str(int(status))
             series.by_status[key] = series.by_status.get(key, 0) + 1
-            series.latencies.append(float(seconds))
-            series.seconds_total += float(seconds)
-            series.seconds_max = max(series.seconds_max, float(seconds))
         self._emit({"event": "edge_request", "route": route,
                     "status": int(status), "seconds": float(seconds)})
 
@@ -308,7 +311,7 @@ class Telemetry:
             for span in trace.spans:
                 series = self._stages.get(span.stage)
                 if series is None:
-                    series = self._stages[span.stage] = _StageSeries()
+                    series = self._stages[span.stage] = LatencyHistogram()
                 series.observe(span.seconds)
             self._trace_count += 1
             if trace.error is not None:
@@ -365,9 +368,11 @@ class Telemetry:
         Called on a cadence (by :class:`repro.obs.sysmon.SystemMonitor`, a
         scraper, or a test), this turns the cumulative counters into
         ``counter`` series (windowed ``rate()`` answers requests/sec), the
-        stage histograms into ``histogram`` series (windowed p50/p99), and
-        the queue-depth gauge into a ``gauge`` series.  Returns the
-        monotonic sample instant so callers can line up their own samples.
+        stage and edge-route latency histograms into ``histogram`` series
+        (``stage.<stage>`` and ``edge.<route>.latency``: windowed p50/p99
+        and latency SLOs), and the queue-depth gauge into a ``gauge``
+        series.  Returns the monotonic sample instant so callers can line
+        up their own samples.
         """
         at = time.monotonic() if at is None else float(at)
         with self._lock:
@@ -384,7 +389,7 @@ class Telemetry:
                         n for status, n in series.by_status.items()
                         if status.startswith(("4", "5"))
                     ),
-                    list(series.latencies),
+                    list(series.bucket_counts),
                 )
                 for route, series in self._edge.items()
             }
@@ -408,43 +413,31 @@ class Telemetry:
             )
         edge_requests = 0
         edge_errors = 0
-        for route, (count, errors, latencies) in route_stats.items():
+        for route, (count, errors, vector) in route_stats.items():
             edge_requests += count
             edge_errors += errors
             store.observe(f"edge.{route}.requests", count, kind="counter", at=at)
             store.observe(f"edge.{route}.errors", errors, kind="counter", at=at)
-            if latencies:
-                values = np.asarray(latencies, dtype=np.float64)
-                store.observe(
-                    f"edge.{route}.p50", float(np.quantile(values, 0.5)),
-                    kind="gauge", at=at,
-                )
-                store.observe(
-                    f"edge.{route}.p99", float(np.quantile(values, 0.99)),
-                    kind="gauge", at=at,
-                )
+            store.observe(
+                f"edge.{route}.latency", vector, kind="histogram", at=at,
+                bounds=STAGE_BUCKETS,
+            )
         store.observe("edge.requests", edge_requests, kind="counter", at=at)
         store.observe("edge.errors", edge_errors, kind="counter", at=at)
         return at
 
     # -- introspection -----------------------------------------------------------
 
-    @staticmethod
-    def _distribution(samples: Deque[float]) -> Dict[str, float]:
-        values = np.asarray(samples, dtype=np.float64)
-        stats = {f"p{int(q * 100)}": float(np.quantile(values, q)) for q in QUANTILES}
-        stats["mean"] = float(values.mean())
-        return stats
-
     def snapshot(self) -> Dict[str, Any]:
         """Plain-``dict`` view of everything recorded so far (JSON-able).
 
-        Per-model predict entries report exact lifetime counters (``count``,
-        ``rows``, total/max seconds) plus latency quantiles over the bounded
-        reservoir of the most recent passes.  ``snapshot_at`` is a monotonic
-        stamp and ``uptime_seconds`` the age of this Telemetry, so scrapers
-        can compute rates without wall-clock skew; ``series`` carries the
-        windowed time-series view (empty until :meth:`sample_series` runs).
+        Per-model predict entries and edge routes report exact lifetime
+        counters (``count``, ``rows``) and the ``latency`` dict of their
+        :class:`LatencyHistogram` (:meth:`LatencyHistogram.latency`).
+        ``snapshot_at`` is a monotonic stamp and ``uptime_seconds`` the age
+        of this Telemetry, so scrapers can compute rates without wall-clock
+        skew; ``series`` carries the windowed time-series view (empty until
+        :meth:`sample_series` runs).
         """
         snapshot_at = time.monotonic()
         # Rendered outside the telemetry lock: the store locks itself.
@@ -452,13 +445,10 @@ class Telemetry:
         with self._lock:
             predict: Dict[str, Any] = {}
             for model, series in self._predict.items():
-                latency = self._distribution(series.latencies)
-                latency["max"] = series.seconds_max
-                latency["total"] = series.seconds_total
                 predict[model] = {
                     "count": series.count,
                     "rows": series.rows,
-                    "latency": latency,
+                    "latency": series.latency(),
                     "batch_size": {
                         "mean": series.rows / series.count if series.count else 0.0,
                         "max": series.batch_max,
@@ -474,13 +464,10 @@ class Telemetry:
                 }
             routes: Dict[str, Any] = {}
             for route, edge_series in self._edge.items():
-                latency = self._distribution(edge_series.latencies)
-                latency["max"] = edge_series.seconds_max
-                latency["total"] = edge_series.seconds_total
                 routes[route] = {
                     "count": edge_series.count,
                     "by_status": dict(edge_series.by_status),
-                    "latency": latency,
+                    "latency": edge_series.latency(),
                 }
             slowest = [
                 dict(entry)

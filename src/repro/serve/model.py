@@ -40,6 +40,11 @@ FORMAT_MAGIC = "repro.serve/cluster-model"
 #: :meth:`ClusterModel.load` refuses files with a different major version.
 FORMAT_VERSION = 1
 
+#: Wall-clock timing keys of ``metadata``: saved in the header but left out
+#: of :meth:`ClusterModel.content_digest`, so two fits of the same data --
+#: which never take the same time -- share one digest.
+_TIMING_KEYS = ("stage_seconds", "retune_stage_seconds")
+
 
 @dataclass(frozen=True, eq=False)
 class ClusterModel:
@@ -227,15 +232,21 @@ class ClusterModel:
     def content_digest(self) -> str:
         """Hex SHA-256 of the artifact's logical content.
 
-        Hashes the canonical JSON header plus the raw bytes of every array,
-        so two models with identical contents share a digest regardless of
-        how (or whether) they were serialized -- npz archives embed
-        timestamps, so file bytes are *not* stable, but this digest is.
-        Content-addressed stores (:class:`~repro.serve.procpool.ArtifactStore`)
-        key artifacts by it.
+        Hashes the canonical JSON header, minus the wall-clock
+        ``stage_seconds`` / ``retune_stage_seconds`` metadata, plus the raw
+        bytes of every array, so two models with identical contents share a
+        digest regardless of how (or whether) they were serialized, or how
+        long their fits took -- npz archives embed timestamps, so file bytes
+        are *not* stable, but this digest is.  Content-addressed stores
+        (:class:`~repro.serve.procpool.ArtifactStore`) key artifacts by it.
         """
+        header = self._header()
+        header["metadata"] = {
+            key: value for key, value in self.metadata.items()
+            if key not in _TIMING_KEYS
+        }
         digest = hashlib.sha256()
-        digest.update(json.dumps(self._header(), sort_keys=True).encode("utf-8"))
+        digest.update(json.dumps(header, sort_keys=True).encode("utf-8"))
         for array in (
             self.lower,
             self.upper,

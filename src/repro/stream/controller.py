@@ -27,7 +27,7 @@ from typing import Callable, Deque, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.obs.slo import fire_contained
-from repro.obs.trace import StageTimer, new_trace_id
+from repro.obs.trace import Trace, new_trace_id
 from repro.serve.metrics import Telemetry
 from repro.serve.model import ClusterModel
 from repro.serve.service import ClusteringService
@@ -293,16 +293,15 @@ class StreamController:
     def _retune_locked(self) -> ClusterModel:
         if self.sketch.n_seen == 0:
             raise ValueError("cannot publish a model from an empty sketch.")
-        start = time.perf_counter()
-        timer = StageTimer()
-        with timer.stage("tune-sweep"):
+        trace = Trace()
+        with trace.span("tune-sweep"):
             # The sweep coarsens its base grid in place along the pyramid;
             # give it a copy so the live sketch keeps accumulating
             # undisturbed.
             tune_result = tune_pyramid(
                 self.sketch.grid.copy(), levels=self.levels, **self._pipeline_params
             )
-        with timer.stage("publish"):
+        with trace.span("publish"):
             best = tune_result.best.candidate
             model = ClusterModel(
                 lower=self.sketch.lower,
@@ -324,17 +323,18 @@ class StreamController:
                 },
             )
             self.version_ = self.service.swap(self.name, model)
-        # The winning run's grid-side breakdown plus the control-plane
-        # stages feed the same per-stage histograms the serving path fills,
-        # so one scrape shows where re-tunes spend their time too.
-        model.metadata["retune_stage_seconds"] = timer.as_dict()
-        for stage, seconds in timer.seconds.items():
+        # The control-plane stages feed the same per-stage histograms the
+        # serving path fills, so one scrape shows where re-tunes spend their
+        # time too.
+        stage_seconds = trace.stage_seconds()
+        model.metadata["retune_stage_seconds"] = stage_seconds
+        for stage, seconds in stage_seconds.items():
             self.telemetry.record_stage(stage, seconds)
         self.model_ = model
         self.monitor.rebase(model, self.sketch)
         self.n_retunes_ += 1
         self._batches_since_check = 0
-        self.last_retune_seconds_ = time.perf_counter() - start
+        self.last_retune_seconds_ = time.monotonic() - trace.started
         self._fire(self.on_swap, "on_swap", self.version_, model)
         return model
 

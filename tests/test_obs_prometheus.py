@@ -3,9 +3,9 @@
 The renderer is a pure function of a Telemetry snapshot, so the conformance
 walk runs every line of a fully-populated exposition through the strict
 parser: names legal, labels balanced and escaped, histogram buckets
-cumulative with the ``+Inf`` bucket equal to ``_count``, summaries carrying
-``quantile`` labels, HELP/TYPE exactly once per metric.  The edge half pins
-the negotiation contract: JSON for JSON clients (the default), text
+cumulative with the ``+Inf`` bucket equal to ``_count``, every latency a
+histogram (no summaries), HELP/TYPE exactly once per metric.  The edge half
+pins the negotiation contract: JSON for JSON clients (the default), text
 exposition 0.0.4 under ``Accept: text/plain`` or an OpenMetrics accept.
 """
 
@@ -102,17 +102,24 @@ class TestConformance:
             assert series[-1][0] == "+Inf"
             assert series[-1][1] == counts[stage]
 
-    def test_summaries_carry_quantile_labels(self, populated_telemetry):
+    def test_latencies_export_as_bucket_histograms(self, populated_telemetry):
         text = populated_telemetry.to_prometheus()
-        quantiles = [
-            parse_exposition_line(line)
-            for line in text.splitlines()
-            if line.startswith("repro_edge_latency_seconds{")
-        ]
-        assert quantiles, "edge latency summary missing"
-        for name, labels, _ in quantiles:
-            assert 0.0 <= float(labels["quantile"]) <= 1.0
-            assert labels["route"] in {"predict", "healthz"}
+        types = {
+            line.split()[2]: line.split()[3]
+            for line in text.splitlines() if line.startswith("# TYPE")
+        }
+        assert "summary" not in types.values()
+        assert types["repro_predict_latency_seconds"] == "histogram"
+        assert types["repro_edge_latency_seconds"] == "histogram"
+        round_trips = {}
+        for line in text.splitlines():
+            parsed = parse_exposition_line(line)
+            if parsed is None or parsed[0] != "repro_edge_latency_seconds_bucket":
+                continue
+            _, labels, value = parsed
+            if labels["le"] == "+Inf":
+                round_trips[labels["route"]] = value
+        assert round_trips == {"predict": 2.0, "healthz": 1.0}
 
     def test_label_escaping_round_trips(self, populated_telemetry):
         text = populated_telemetry.to_prometheus()

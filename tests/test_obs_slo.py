@@ -64,6 +64,33 @@ class TestObjective:
             telemetry.series, 60.0, 10.0
         ) == pytest.approx(1.0)
 
+    def test_edge_round_trip_objective_burns_when_every_request_is_slow(self):
+        telemetry = Telemetry(series=TimeSeriesStore(step=1.0))
+        fired = []
+        monitor = SloMonitor(
+            [Objective(
+                name="edge-latency", objective=0.99, kind="latency",
+                series="edge.predict.latency", threshold_seconds=0.25,
+                windows=((10.0, 14.4), (5.0, 14.4)),
+            )],
+            telemetry=telemetry,
+            on_alert=fired.append,
+        )
+        for tick in range(10):  # fast round trips: within the objective
+            telemetry.record_edge_request("predict", 200, 0.1)
+            telemetry.sample_series(at=float(tick))
+        monitor.evaluate(telemetry.series, 9.0)
+        assert monitor.burning() == [] and fired == []
+        for tick in range(10, 30):  # every round trip takes 0.6 s
+            telemetry.record_edge_request("predict", 200, 0.6)
+            telemetry.sample_series(at=float(tick))
+        results = monitor.evaluate(telemetry.series, 29.0)
+        assert [entry["burn"] for entry in results[0]["burn_rates"]] == [
+            pytest.approx(100.0), pytest.approx(100.0),
+        ]
+        assert monitor.burning() == ["edge-latency"]
+        assert [alert["objective"] for alert in fired] == ["edge-latency"]
+
 
 class TestSloMonitor:
     def test_unique_names_enforced(self):

@@ -31,7 +31,6 @@ from repro.obs import (
     STAGE_WORKER_LOAD,
     STAGE_WORKER_PREDICT,
     Span,
-    StageTimer,
     Trace,
     apply_worker_stamps,
     new_trace_id,
@@ -143,26 +142,14 @@ class TestSpanAndTrace:
         assert trace.stage_seconds() == {"a": pytest.approx(1.5)}
 
 
-class TestStageTimer:
-    def test_accumulates_across_reentry(self):
-        timer = StageTimer()
-        for _ in range(3):
-            with timer.stage("transform"):
-                pass
-        timer.add("transform", 1.0)
-        assert timer.counts["transform"] == 4
-        assert timer.seconds["transform"] >= 1.0
-        assert timer.as_dict() == {"transform": timer.seconds["transform"]}
-
+class TestPipelineStageSeconds:
     def test_pipeline_reports_stage_seconds(self, frozen):
         from repro.core.pipeline import run_grid_pipeline
 
         rng = np.random.default_rng(3)
         est = AdaWave(scale=32, bounds=BOUNDS).fit(rng.uniform(size=(800, 2)))
-        timer = StageTimer()
-        result = run_grid_pipeline(est.result_.quantization.grid, timer=timer)
+        result = run_grid_pipeline(est.result_.quantization.grid)
         assert set(result.stage_seconds) == {"transform", "threshold", "extract"}
-        assert set(timer.as_dict()) == {"transform", "threshold", "extract"}
         assert all(v >= 0.0 for v in result.stage_seconds.values())
 
     def test_fit_records_stage_provenance_into_artifact(self):

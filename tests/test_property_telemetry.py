@@ -10,6 +10,10 @@ shares, so two invariants must hold under *any* interleaving of recordings:
   trace total, histogram buckets are cumulative with the ``+Inf`` bucket
   equal to the count, and the counters are monotone non-decreasing across
   successive snapshots even while recorder threads race the reader.
+
+Snapshot latency quantiles and windowed series quantiles read the same
+histogram by the same rule, so over a window holding every observation they
+agree (the snapshot's capped at the observed max).
 """
 
 import json
@@ -19,8 +23,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import Trace
-from repro.serve.metrics import Telemetry
+from repro.obs import TimeSeriesStore, Trace
+from repro.serve.metrics import QUANTILES, Telemetry
 
 STAGES = ("edge-parse", "admission-wait", "queue-wait", "worker-predict",
           "collect")
@@ -231,3 +235,40 @@ class TestSnapshotProperties:
             1 for batch in batches for kind, _ in batch if kind == "trace"
         )
         assert final["traces"]["count"] == expected_traces
+
+
+class TestLatencyQuantileRule:
+    @given(
+        latencies=st.lists(
+            st.floats(min_value=0.0, max_value=20.0,
+                      allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=200,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_snapshot_quantiles_match_windowed_series(self, latencies, data):
+        telemetry = Telemetry(series=TimeSeriesStore(step=1.0))
+        split = data.draw(st.integers(min_value=0, max_value=len(latencies)))
+        for seconds in latencies[:split]:
+            telemetry.record_edge_request("predict", 200, seconds)
+        telemetry.sample_series(at=100.0)
+        for seconds in latencies[split:]:
+            telemetry.record_edge_request("predict", 200, seconds)
+        telemetry.sample_series(at=101.0)
+
+        route = telemetry.snapshot()["edge"]["routes"]["predict"]
+        latency = route["latency"]
+        store = telemetry.series
+        for q in QUANTILES:
+            windowed = store.quantile(
+                "edge.predict.latency", q, window=10.0, at=101.0
+            )
+            assert latency[f"p{int(q * 100)}"] == min(windowed, latency["max"])
+        assert latency["max"] == max(latencies)
+        # Bucket counts sum to the count, in the snapshot and the series.
+        assert route["count"] == len(latencies)
+        assert store.latest("edge.predict.latency") == len(latencies)
+        assert latency["buckets"][-1] == ["+Inf", len(latencies)]
+        for le, cumulative in latency["buckets"][:-1]:
+            assert cumulative == sum(1 for s in latencies if s <= le)

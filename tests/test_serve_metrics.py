@@ -40,7 +40,9 @@ class TestTelemetryUnit:
         stats = telemetry.snapshot()["predict"]["m"]
         assert stats["count"] == 5
         assert stats["rows"] == 50
-        assert stats["latency"]["p50"] == pytest.approx(0.003)
+        # Upper bound of the bucket holding the median (0.003 s lies in
+        # (0.0025, 0.005]); the tail quantiles are capped at the max.
+        assert stats["latency"]["p50"] == 0.005
         assert stats["latency"]["p99"] <= stats["latency"]["max"] == 0.100
         assert stats["latency"]["p50"] <= stats["latency"]["p90"]
         assert stats["batch_size"] == {"mean": 10.0, "max": 10}
@@ -82,8 +84,6 @@ class TestTelemetryUnit:
         assert telemetry.snapshot()["sink_errors"] == 1
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError, match="reservoir"):
-            Telemetry(reservoir=0)
         with pytest.raises(ValueError, match="history_limit"):
             Telemetry(history_limit=0)
 

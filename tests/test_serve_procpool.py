@@ -222,6 +222,40 @@ class TestArtifactStore:
             == models[0].content_digest()
         )
 
+    def test_refits_of_the_same_data_share_one_artifact(self, tmp_path):
+        rng = np.random.default_rng(5)
+        blob = np.clip(rng.normal(0.4, 0.04, size=(1500, 2)), 0.0, 1.0)
+        X = np.vstack([blob, rng.uniform(size=(2500, 2))])
+        first, second = (
+            AdaWave(scale=64, bounds=BOUNDS).fit(X).export_model() for _ in range(2)
+        )
+        np.testing.assert_array_equal(first.cell_labels, second.cell_labels)
+        assert first.content_digest() == second.content_digest()
+        store = ArtifactStore(tmp_path)
+        digest = store.publish(first)
+        assert store.publish(second) == digest
+        assert store.digests() == [digest]
+        # The timings stay in the saved header; only the digest skips them.
+        assert store.load(digest).metadata["stage_seconds"] == (
+            first.metadata["stage_seconds"]
+        )
+        retuned = ClusterModel(
+            lower=first.lower, upper=first.upper, grid_shape=first.grid_shape,
+            level=first.level, threshold=first.threshold,
+            cell_coords=first.cell_coords, cell_labels=first.cell_labels,
+            n_clusters=first.n_clusters,
+            metadata={**first.metadata, "retune_stage_seconds": {"publish": 1.0}},
+        )
+        assert retuned.content_digest() == digest
+        # A different cell map is a different model.
+        relabelled = ClusterModel(
+            lower=first.lower, upper=first.upper, grid_shape=first.grid_shape,
+            level=first.level, threshold=first.threshold,
+            cell_coords=first.cell_coords[:-1], cell_labels=first.cell_labels[:-1],
+            n_clusters=first.n_clusters, metadata=first.metadata,
+        )
+        assert relabelled.content_digest() != digest
+
 
 class TestProcessPoolService:
     def test_predict_matches_model_bit_for_bit(self, corpus, tmp_path):

@@ -131,3 +131,20 @@ class TestTelemetryExport:
             snapshot = plane.telemetry.snapshot()
         assert snapshot["predict"]["live"]["rows"] == 200
         assert snapshot["swaps"]["by_name"] == {"live": 1}
+
+    def test_retune_stages_land_in_metadata_and_stage_histograms(self, phases):
+        stationary, _ = phases
+        with _controller() as plane:
+            plane.ingest(stationary)  # warmup publish
+            plane.retune()
+            snapshot = plane.telemetry.snapshot()
+        assert plane.n_retunes_ == 2
+        assert set(plane.model_.metadata["retune_stage_seconds"]) == {
+            "tune-sweep", "publish",
+        }
+        assert all(
+            seconds >= 0.0
+            for seconds in plane.model_.metadata["retune_stage_seconds"].values()
+        )
+        for stage in ("tune-sweep", "publish"):
+            assert snapshot["stages"][stage]["count"] == plane.n_retunes_
