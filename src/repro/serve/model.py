@@ -45,6 +45,15 @@ FORMAT_VERSION = 1
 #: which never take the same time -- share one digest.
 _TIMING_KEYS = ("stage_seconds", "retune_stage_seconds")
 
+#: :meth:`ClusterModel.predict` encodes and looks up points in row blocks of
+#: at most this many coordinates.  On a 200k-point 4-D predict (2-CPU host)
+#: one pass over the whole input page-faulted either 0 or 1100-1500 times
+#: per call, as the process's allocator state happened to leave its ~6 MB
+#: of temporaries, and a process's median predict read 7.6-8.0 or 9.2-10.4
+#: ms accordingly; in blocks every call took 0-1 faults and a process's
+#: median 6.5-7.6 ms.
+_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class ClusterModel:
@@ -221,7 +230,22 @@ class ClusterModel:
         outside the fitted bounds entirely -- get
         :data:`~repro.grid.lookup.NOISE_LABEL`.
         Never materialises anything proportional to the training-set size.
+        Large inputs go through in row blocks of at most 2**16 coordinates:
+        the only array proportional to ``n`` is the returned labels, and the
+        blocks' cache-sized temporaries are reused from block to block
+        instead of being mapped and page-faulted afresh on every call.  Rows
+        are independent, so the labels are bit-identical to one pass.
         """
+        X = np.asarray(X)
+        rows = max(1, _BLOCK_ELEMENTS // len(self.grid_shape))
+        if X.ndim != 2 or len(X) <= rows:
+            return self._label_block(X)
+        labels = np.empty(len(X), dtype=np.int64)
+        for start in range(0, len(X), rows):
+            labels[start : start + rows] = self._label_block(X[start : start + rows])
+        return labels
+
+    def _label_block(self, X) -> np.ndarray:
         codes, inside = self._quantizer.transform_with_mask(X)
         labels = self._index.lookup(codes)
         labels[~inside] = NOISE_LABEL

@@ -133,6 +133,29 @@ class TestClusterModelPredict:
         with pytest.raises(ValueError, match="features"):
             estimator.export_model().predict(np.zeros((3, 5)))
 
+    def test_row_blocked_predict_matches_small_batches(self, fitted):
+        """An input of several row blocks (and a ragged last one) labels as
+        its small batches do, out-of-bounds points included."""
+        X, estimator = fitted
+        model = estimator.export_model()
+        rng = np.random.default_rng(5)
+        queries = np.vstack([
+            X[rng.integers(len(X), size=60_000)],
+            rng.uniform(-0.5, 1.5, size=(40_007, 2)),
+        ])[rng.permutation(100_007)]
+        expected = np.concatenate([model.predict(q) for q in np.array_split(queries, 200)])
+        labels = model.predict(queries)
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, expected)
+        assert (labels == -1).any() and (labels >= 0).any()
+
+    def test_row_blocked_predict_rejects_a_late_non_finite_row(self, fitted):
+        _, estimator = fitted
+        queries = np.full((100_000, 2), 0.5)
+        queries[-1, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            estimator.export_model().predict(queries)
+
     def test_memory_does_not_scale_with_training_size(self):
         """8x the training data must not grow the artifact appreciably."""
         def _artifact_bytes(n):
