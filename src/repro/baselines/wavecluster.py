@@ -16,8 +16,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.baselines.base import BaseClusterer, NOISE_LABEL
+from repro.grid.codec import CellCodec
 from repro.grid.connectivity import label_components_array
-from repro.grid.lookup import LookupTable
+from repro.grid.lookup import CellLabelIndex, LookupTable
 from repro.grid.quantizer import GridQuantizer
 from repro.utils.validation import check_array, check_positive_int
 from repro.wavelets.ndwt import dwtn
@@ -109,8 +110,13 @@ class WaveCluster(BaseClusterer):
         # argwhere lists cells in lexicographic order, as the labelling expects.
         surviving = np.argwhere(transformed > threshold)
         cell_labels = label_components_array(surviving, connectivity=self.connectivity)
+        # The dense transform applies every level: its grid is the
+        # quantization grid coarsened by 2**level.
+        codec = CellCodec(transformed.shape)
+        index = CellLabelIndex(codec, codec.encode(surviving), cell_labels)
+        grid = quantization.grid
         occupied_labels = LookupTable(level=self.level).label_points_from_arrays(
-            quantization.grid.coords, surviving, cell_labels
+            grid.codec, grid.codes, index
         )
 
         self.labels_ = occupied_labels[quantization.inverse]

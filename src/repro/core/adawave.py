@@ -78,7 +78,8 @@ class AdaWaveResult:
     """All intermediate artefacts of one AdaWave run.
 
     Exposed so the examples and the ablation experiments can inspect every
-    stage of the pipeline without re-running it.
+    stage of the pipeline without re-running it.  ``level`` is the number of
+    decomposition levels the transform applied.
     """
 
     labels: np.ndarray
@@ -114,10 +115,12 @@ def build_result(
     The single place where surviving transformed cells become per-object
     labels; shared by :meth:`AdaWave.fit`/:meth:`AdaWave.finalize` and
     :class:`~repro.core.multiresolution.MultiResolutionAdaWave`: the
-    occupied cells are looked up once and gathered through the inverse.
+    occupied cells' codes are looked up once in the pipeline's index, at
+    the level its transform applied, and gathered through the inverse.
     """
+    grid = quantization.grid
     occupied_labels = LookupTable(level=pipe.level).label_points_from_arrays(
-        quantization.grid.coords, pipe.cell_coords, pipe.cell_labels
+        grid.codec, grid.codes, pipe.index
     )
     return AdaWaveResult(
         labels=occupied_labels[quantization.inverse],

@@ -22,9 +22,10 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.core.threshold import ThresholdDiagnostics, adaptive_threshold
-from repro.core.transform import wavelet_smooth_grid
+from repro.core.threshold import TIE_SNAP_RELATIVE, ThresholdDiagnostics, adaptive_threshold
+from repro.core.transform import applied_level, wavelet_smooth_grid
 from repro.grid.connectivity import label_components_array
+from repro.grid.lookup import CellLabelIndex
 from repro.grid.sparse_grid import SparseGrid
 from repro.obs.trace import Trace
 from repro.wavelets.thresholding import LevelPolicy
@@ -35,15 +36,6 @@ _FULL_CONNECTIVITY_MAX_DIM = 3
 THRESHOLD_METHODS = ("auto", "segments", "angle", "distance", "none")
 CONNECTIVITIES = ("auto", "face", "full")
 
-#: Relative epsilon of the survivor cut: transformed densities within this
-#: relative distance of the selected threshold count as *at* the threshold
-#: (pruned).  The lifting kernel and the reference engine's convolution
-#: round the same coefficient differently at the last few ulps, so without
-#: the snap an exact density tie at the threshold could survive in one and
-#: fall in the other.
-_TIE_SNAP_RELATIVE = 1e-9
-
-
 def snapped_cut(threshold: float) -> float:
     """Tie-stable survivor cut for a selected density threshold.
 
@@ -53,7 +45,7 @@ def snapped_cut(threshold: float) -> float:
     rounding differs on exact ties.  Shared by the vectorized extraction and
     the reference engine.
     """
-    return threshold + _TIE_SNAP_RELATIVE * max(1.0, abs(threshold))
+    return threshold + TIE_SNAP_RELATIVE * max(1.0, abs(threshold))
 
 
 def resolve_connectivity(connectivity: str, ndim: int) -> str:
@@ -112,34 +104,37 @@ def extract_clusters(
     :func:`snapped_cut`, so kernel rounding cannot flip exact density
     ties), labels the connected components of the survivors and drops
     components smaller than ``min_cluster_cells`` (relabelling the
-    remainder to a dense ``0..k-1`` range).  Returns the ``(k, d)``
-    surviving coordinates and the aligned ``(k,)`` labels.
+    remainder to a dense ``0..k-1`` range).  Returns the ``(k,)`` sorted
+    codes of the surviving cells in ``transformed.codec`` and the aligned
+    ``(k,)`` labels.
     """
     surviving = transformed.prune(snapped_cut(threshold))
-    coords = surviving.coords
-    if len(coords) == 0:
-        return coords, np.empty(0, dtype=np.int64)
+    codes = surviving.codes
+    if len(codes) == 0:
+        return codes, np.empty(0, dtype=np.int64)
     resolved = resolve_connectivity(connectivity, ndim)
-    labels = label_components_array(coords, connectivity=resolved)
+    labels = label_components_array(surviving.coords, connectivity=resolved)
     if min_cluster_cells > 1 and len(labels):
         counts = np.bincount(labels)
         keep = counts >= min_cluster_cells
         if not keep.all():
             relabel = np.cumsum(keep) - 1
             cell_keep = keep[labels]
-            coords = coords[cell_keep]
+            codes = codes[cell_keep]
             labels = relabel[labels[cell_keep]]
-    return coords, labels
+    return codes, labels
 
 
 @dataclass
 class GridPipelineResult:
     """Everything the grid-side stages produce for one (grid, level) run.
 
-    ``cell_coords``/``cell_labels`` are the surviving transformed cells and
-    their cluster ids; ``n_clusters`` counts the distinct ids.  The result is
-    point-free: mapping objects to labels is a separate lookup against
-    ``cell_coords``.
+    ``index`` holds the surviving transformed cells (codes of
+    ``transformed.codec``) and their cluster ids; ``n_clusters`` counts the
+    distinct ids.  ``level`` counts the levels the transform applied
+    (:func:`~repro.core.transform.applied_level`), so an input cell ``c``
+    maps to ``c // 2 ** level``.  The result is point-free: objects are
+    labelled by a separate lookup in ``index``.
 
     ``stage_seconds`` is the wall-clock breakdown of this run over the three
     grid-side stages (``transform`` / ``threshold`` / ``extract``) -- the
@@ -152,13 +147,22 @@ class GridPipelineResult:
 
     transformed: SparseGrid
     threshold: ThresholdDiagnostics
-    cell_coords: np.ndarray
-    cell_labels: np.ndarray
+    index: CellLabelIndex
     n_clusters: int
     level: int
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     wavelet: str = "bior2.2"
     threshold_policy: str = "global-hard"
+
+    @property
+    def cell_coords(self) -> np.ndarray:
+        """``(k, d)`` surviving transformed cells, in sorted order."""
+        return self.index.codec.decode(self.index.codes)
+
+    @property
+    def cell_labels(self) -> np.ndarray:
+        """``(k,)`` cluster ids aligned with :attr:`cell_coords`."""
+        return self.index.labels
 
 
 def run_grid_pipeline(
@@ -200,7 +204,7 @@ def run_grid_pipeline(
     with trace.span("threshold"):
         diagnostics = select_threshold(transformed, threshold_method, angle_divisor)
     with trace.span("extract"):
-        cell_coords, cell_labels = extract_clusters(
+        cell_codes, cell_labels = extract_clusters(
             transformed, diagnostics.threshold, grid.ndim, connectivity,
             min_cluster_cells,
         )
@@ -208,10 +212,9 @@ def run_grid_pipeline(
     return GridPipelineResult(
         transformed=transformed,
         threshold=diagnostics,
-        cell_coords=cell_coords,
-        cell_labels=cell_labels,
+        index=CellLabelIndex(transformed.codec, cell_codes, cell_labels),
         n_clusters=n_clusters,
-        level=level,
+        level=applied_level(grid.shape, level),
         stage_seconds=trace.stage_seconds(),
         wavelet=getattr(wavelet, "name", None) or str(wavelet),
         threshold_policy=policy.name,

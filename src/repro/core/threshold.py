@@ -41,6 +41,15 @@ from typing import Optional
 import numpy as np
 
 
+#: Relative epsilon of the tie snaps.  The lifting kernel and the reference
+#: engine's convolution round the same coefficient differently at the last
+#: few ulps, so without a snap an exact tie could fall one way in one engine
+#: and the other way in the other: a density at the threshold (snapped by
+#: :func:`repro.core.pipeline.snapped_cut`) or two points equally far from
+#: the chord of the unit-square curve (:func:`elbow_threshold_distance`).
+TIE_SNAP_RELATIVE = 1e-9
+
+
 @dataclass(frozen=True)
 class ThresholdDiagnostics:
     """Details of how the threshold was chosen (used by the ablation bench).
@@ -152,7 +161,10 @@ def elbow_threshold_distance(densities) -> ThresholdDiagnostics:
     # Perpendicular distance of every curve point to the chord.
     cross = np.abs(relative[:, 0] * chord[1] - relative[:, 1] * chord[0])
     distances = cross / max(chord_norm, 1e-15)
-    index = int(np.argmax(distances))
+    # Distances (in the unit square) within the tie snap of the largest are
+    # tied and the first wins, as exact arithmetic would pick; a straight
+    # curve, all of whose distances are rounding noise, keeps index 0.
+    index = int(np.argmax(distances >= distances.max() - TIE_SNAP_RELATIVE))
     return ThresholdDiagnostics(
         threshold=float(values[index]),
         index=index,

@@ -121,6 +121,19 @@ def _shrink_grid(grid: SparseGrid, rule: str) -> SparseGrid:
     return SparseGrid.from_coo(grid.shape, grid.coords[mask], shrunk[mask])
 
 
+def applied_level(shape, level: int) -> int:
+    """Levels :func:`wavelet_smooth_grid` applies to a grid of ``shape``.
+
+    Each level halves every axis (``ceil(s / 2)``); the transform stops once
+    an axis is down to one cell, so ``(2, 64)`` takes one level at most.
+    """
+    applied = 0
+    while applied < level and min(shape) >= 2:
+        shape = [(size + 1) // 2 for size in shape]
+        applied += 1
+    return applied
+
+
 def wavelet_smooth_grid(
     grid: SparseGrid,
     wavelet: str = "bior2.2",
@@ -138,7 +151,8 @@ def wavelet_smooth_grid(
         paper uses the Cohen-Daubechies-Feauveau (2,2) biorthogonal spline.
     level:
         Number of decomposition levels; every level halves the resolution in
-        each dimension.
+        each dimension.  The transform stops early once an axis is down to
+        one cell (:func:`applied_level`).
     shrink:
         Optional :class:`~repro.wavelets.LevelPolicy` adding a MAD-scaled
         VisuShrink denoising pass in the wavelet domain.  Per-level policies
@@ -160,9 +174,7 @@ def wavelet_smooth_grid(
     bank = build_wavelet(wavelet)
     per_level = shrink is not None and shrink.mode == "per-level"
     current = grid
-    for _ in range(level):
-        if min(current.shape) < 2:
-            break
+    for _ in range(applied_level(grid.shape, level)):
         for axis in range(current.ndim):
             current = _transform_axis(current, bank, axis)
         if per_level:

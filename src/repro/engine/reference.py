@@ -26,7 +26,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.grid.connectivity import _connected_components_hash, neighbor_offsets
-from repro.grid.lookup import NOISE_LABEL, LookupTable
+from repro.grid.lookup import NOISE_LABEL
 from repro.grid.quantizer import GridQuantizer, QuantizationResult
 from repro.grid.sparse_grid import SparseGrid
 from repro.wavelets.dwt import dwt
@@ -70,18 +70,22 @@ def _transform_axis_reference(grid: SparseGrid, wavelet, axis: int) -> SparseGri
 
 def wavelet_smooth_grid_reference(
     grid: SparseGrid, wavelet: str = "bior2.2", level: int = 1
-) -> Tuple[SparseGrid, Tuple[int, ...]]:
-    """Per-line wavelet smoothing of the grid (Algorithm 3, literal)."""
+) -> Tuple[SparseGrid, int]:
+    """Per-line wavelet smoothing of the grid (Algorithm 3, literal).
+
+    Returns the transformed grid and the number of levels applied: the pass
+    stops once an axis is down to one cell.
+    """
     if level < 1:
         raise ValueError(f"level must be >= 1; got {level}.")
     bank = build_wavelet(wavelet)
     current = grid
-    for _ in range(level):
-        if min(current.shape) < 2:
-            break
+    applied = 0
+    while applied < level and min(current.shape) >= 2:
         for axis in range(current.ndim):
             current = _transform_axis_reference(current, bank, axis)
-    return current, current.shape
+        applied += 1
+    return current, applied
 
 
 def connected_components_reference(cells, connectivity: str = "face") -> Dict[Cell, int]:
@@ -97,12 +101,17 @@ def connected_components_reference(cells, connectivity: str = "face") -> Dict[Ce
 
 
 def label_points_reference(
-    lookup: LookupTable,
     point_cells: np.ndarray,
     transformed_labels: Dict[Cell, int],
+    level: int,
 ) -> np.ndarray:
-    """Memoised per-point label lookup (the original ``label_points``)."""
-    transformed = lookup.to_transformed_many(point_cells)
+    """Memoised per-point label lookup (the original ``label_points``).
+
+    An original cell ``c`` takes the label of its transformed cell
+    ``c // 2 ** level``, where ``level`` is the number of levels the
+    transform applied.
+    """
+    transformed = np.asarray(point_cells, dtype=np.int64) // 2**level
     labels = np.full(transformed.shape[0], NOISE_LABEL, dtype=np.int64)
     cache: Dict[Cell, int] = {}
     for index, cell in enumerate(map(tuple, transformed.tolist())):
@@ -151,7 +160,7 @@ def fit_reference(
     quantizer = GridQuantizer(scale=scale, bounds=bounds)
     quantizer.fit(X)
     quantization = quantize_reference(quantizer, X)
-    transformed, _shape = wavelet_smooth_grid_reference(
+    transformed, applied = wavelet_smooth_grid_reference(
         quantization.grid, wavelet=wavelet, level=level
     )
     threshold = select_threshold(transformed, threshold_method, angle_divisor)
@@ -161,9 +170,7 @@ def fit_reference(
         resolve_connectivity(connectivity, X.shape[1]),
         min_cluster_cells,
     )
-    labels = label_points_reference(
-        LookupTable(level=level), quantization.cell_ids, surviving
-    )
+    labels = label_points_reference(quantization.cell_ids, surviving, applied)
     return ReferenceFitResult(
         labels=labels,
         n_clusters=len(set(surviving.values())) if surviving else 0,

@@ -116,9 +116,8 @@ def run_parallel_ingest(
     noise_fraction: float = 0.75,
     seed: int = 0,
     repeats: int = 3,
-    executor: str = "thread",
 ) -> ExperimentResult:
-    """Serial vs sharded-parallel streaming ingestion at ``n_points``.
+    """Serial vs sharded-parallel (threaded) streaming ingestion at ``n_points``.
 
     Times the ingestion phase -- quantize, accumulate, consolidate the
     sketch, everything up to (but excluding) the shared ``finalize``
@@ -134,14 +133,13 @@ def run_parallel_ingest(
     params = dict(scale=scale, bounds=bounds, lookup_only=True)
 
     result = ExperimentResult(
-        experiment=f"serving: parallel ingestion ({executor} executor)",
+        experiment="serving: parallel ingestion",
         columns=["configuration", "workers", "seconds", "speedup"],
         metadata={
             "n_points": dataset.n_samples,
             "n_batches": n_batches,
             "scale": scale,
             "seed": seed,
-            "executor": executor,
         },
     )
 
@@ -170,7 +168,6 @@ def run_parallel_ingest(
                 bounds=bounds,
                 scale=scale,
                 n_workers=n_workers,
-                executor=executor,
                 finalize=False,
             )
             # Force the merged sketch consolidation inside the timed region

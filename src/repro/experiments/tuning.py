@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.adawave import AdaWave
 from repro.datasets.synthetic import noise_sweep_dataset, scaled_runtime_dataset
 from repro.experiments.runner import ExperimentResult
-from repro.grid.lookup import LookupTable
+from repro.grid.lookup import transformed_codes
 from repro.grid.quantizer import GridQuantizer
 from repro.metrics import ami_on_true_clusters
 from repro.tune import tune_pyramid
@@ -132,10 +132,9 @@ def run_tune_overhead(
         quantization = GridQuantizer(scale=base_scale).fit_transform(X)
         tuned = tune_pyramid(quantization.grid, factors=tuple(factors))
         best = tuned.best.candidate
-        LookupTable(level=best.level).label_points_from_arrays(
-            quantization.grid.coords // best.factor,
-            best.pipeline.cell_coords,
-            best.pipeline.cell_labels,
+        grid = quantization.grid
+        best.pipeline.index.lookup(
+            transformed_codes(grid.codec, grid.codes, best.pipeline.level, best.factor)
         )[quantization.inverse]
 
     def _refit_all() -> None:

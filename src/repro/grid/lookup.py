@@ -4,12 +4,17 @@ The clusters AdaWave finds live in the *transformed* feature space (the
 approximation subband after ``level`` wavelet decompositions), whose grid is
 coarser than the original quantization by a factor of ``2 ** level`` per
 dimension: an original cell ``c`` contributes to the transformed cell
-``c // 2 ** level`` (Section IV-D).  Labels reach the objects through the
-quantization inverse -- one lookup per occupied cell plus one gather -- and a
-served model encodes points straight to transformed-cell codes.
+``c // 2 ** level`` (Section IV-D).  Every mapping here is on cell codes:
+:func:`transformed_codes` coarsens a grid's codes to the codes of their
+transformed cells, and a :class:`CellLabelIndex` built once per labelled
+cell set looks them up.  Labels reach the objects through the quantization
+inverse -- one lookup per occupied cell plus one gather -- and a served
+model encodes points straight to transformed-cell codes.
 """
 
 from __future__ import annotations
+
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -23,81 +28,64 @@ NOISE_LABEL = -1
 class CellLabelIndex:
     """Immutable cell -> cluster-label index over the surviving cells.
 
-    The index is the heart of the lookup-only ("serving") path: it stores the
-    ``(k, d)`` labelled transformed cells as codes of a
-    :class:`~repro.grid.codec.CellCodec` sorted once at construction, so
-    labelling ``n`` query cells afterwards is one encode plus one
-    :meth:`CellCodec.rows` pass -- a gather from a label table over the
-    codec's box, or a binary search over the ``k`` codes, as the codec's
-    lookup size rule picks -- holding ``O(k)`` resident memory that never
-    grows with the training-set size.  Cells outside the index (including
-    anything outside the bounding box of the labelled cells) map to
-    :data:`NOISE_LABEL`.
-    Astronomically large extents (e.g. 128 intervals in 9+ dimensions) run
-    the same path on the codec's exact Python-int codes.
+    The index is the heart of every lookup: it stores the ``k`` labelled
+    transformed cells as codes of the transformed grid's
+    :class:`~repro.grid.codec.CellCodec`, sorted once at construction, so
+    labelling ``n`` query codes afterwards is one :meth:`CellCodec.rows` pass
+    -- a gather from a label table over the codec's box, or a binary search
+    over the ``k`` codes, as the codec's lookup size rule picks -- holding
+    ``O(k)`` resident memory that never grows with the training-set size.
+    Codes without a labelled cell, including codes outside the box, map to
+    :data:`NOISE_LABEL`.  Astronomically large grids (e.g. 128 intervals in
+    9+ dimensions) run the same path on the codec's exact Python-int codes.
 
     Parameters
     ----------
-    cells:
-        ``(k, d)`` integer coordinates of the labelled cells (duplicates are
-        not allowed; the pipeline never produces them).
+    codec:
+        The transformed grid's codec; queries are codes of it.
+    codes:
+        ``(k,)`` codes of the labelled cells (duplicates are not allowed;
+        the pipeline never produces them).
     labels:
-        ``(k,)`` integer cluster labels aligned with ``cells``.
+        ``(k,)`` integer cluster labels aligned with ``codes``.
     """
 
-    __slots__ = ("ndim", "n_cells", "codec", "_codes", "_values")
+    __slots__ = ("codec", "codes", "labels")
 
-    def __init__(self, cells, labels) -> None:
-        cells = np.asarray(cells, dtype=np.int64)
+    def __init__(self, codec: CellCodec, codes, labels) -> None:
+        codes = np.asarray(codes, dtype=codec.dtype)
         labels = np.asarray(labels, dtype=np.int64)
-        if cells.ndim != 2:
-            raise ValueError(f"cells must be a 2-D array; got shape {cells.shape}.")
-        if labels.shape != (len(cells),):
+        if codes.ndim != 1 or labels.shape != codes.shape:
             raise ValueError(
-                f"labels must have shape ({len(cells)},); got {labels.shape}."
+                f"codes and labels must be aligned 1-D arrays; got shapes "
+                f"{codes.shape} and {labels.shape}."
             )
-        self.ndim = cells.shape[1]
-        codec = CellCodec.bounding(cells) if len(cells) else None
-        self._adopt(codec, codec.encode(cells) if codec else np.empty(0, np.int64), labels)
-
-    @classmethod
-    def from_codes(cls, codec: CellCodec, codes: np.ndarray, labels) -> "CellLabelIndex":
-        """Index labelled cells given by their codes in ``codec``.
-
-        :meth:`lookup` then also accepts query codes of ``codec`` -- the
-        serving path encodes points straight to them.
-        """
-        index = cls.__new__(cls)
-        index.ndim = codec.ndim
-        index._adopt(codec, np.asarray(codes, codec.dtype), np.asarray(labels, np.int64))
-        return index
-
-    def _adopt(self, codec, codes: np.ndarray, labels: np.ndarray) -> None:
-        self.codec = codec
-        self.n_cells = len(codes)
         order = np.argsort(codes, kind="stable")
-        self._codes = codes[order]
-        self._values = labels[order]
+        self.codec = codec
+        self.codes = codes[order]
+        self.labels = labels[order]
 
-    def lookup(self, cells: np.ndarray) -> np.ndarray:
-        """Labels of the query cells; unmapped cells get noise.
+    def lookup(self, codes) -> np.ndarray:
+        """Labels of the ``(n,)`` query codes of :attr:`codec`; unmapped codes get noise."""
+        codes = np.asarray(codes)
+        if codes.ndim != 1:
+            raise ValueError(f"query codes must be a 1-D array; got shape {codes.shape}.")
+        return self.codec.rows(self.codes, codes, self.labels)
 
-        ``cells`` is an ``(n, d)`` coordinate array, or an ``(n,)`` array of
-        codes in :attr:`codec`.
-        """
-        cells = np.asarray(cells)
-        if cells.ndim != 1 and (cells.ndim != 2 or cells.shape[1] != self.ndim):
-            raise ValueError(
-                f"query cells must have shape (n, {self.ndim}); got {cells.shape}."
-            )
-        if self.n_cells == 0 or len(cells) == 0:
-            return np.full(len(cells), NOISE_LABEL, dtype=np.int64)
-        if cells.ndim == 1:
-            return self.codec.rows(self._codes, cells, self._values)
-        labels = np.full(len(cells), NOISE_LABEL, dtype=np.int64)
-        rows = np.flatnonzero(self.codec.contains(cells))
-        labels[rows] = self.codec.rows(self._codes, self.codec.encode(cells[rows]), self._values)
-        return labels
+
+def transformed_codes(
+    codec: CellCodec, codes, level: int, factor: Union[int, Sequence[int]] = 1
+) -> np.ndarray:
+    """Codes of the transformed cells that the cells ``codes`` of ``codec`` map to.
+
+    A cell ``c`` maps to ``c // (factor * 2 ** level)``: ``factor`` coarsens
+    from ``codec``'s grid to the grid the wavelet transform ran on (a
+    serving or pyramid resolution; 1 when it ran on ``codec``'s grid
+    itself) and ``level`` is the number of levels the transform applied.
+    The result holds codes of ``codec.coarsen(factor * 2 ** level)``, which
+    is the transformed grid's codec.
+    """
+    return codec.coarsen_codes(codes, np.asarray(factor, dtype=np.int64) * 2**level)
 
 
 class LookupTable:
@@ -107,7 +95,7 @@ class LookupTable:
     ----------
     level:
         Number of wavelet decomposition levels applied per dimension; each
-        level halves the resolution, so an original coordinate ``c`` maps to
+        level halves the resolution, so an original cell ``c`` maps to
         ``c // 2 ** level``.
     """
 
@@ -115,44 +103,15 @@ class LookupTable:
         if level < 0:
             raise ValueError(f"level must be >= 0; got {level}.")
         self.level = int(level)
-        self._factor = 2**self.level
-
-    @property
-    def downsample_factor(self) -> int:
-        """Resolution reduction per dimension between original and transformed grids."""
-        return self._factor
-
-    def to_transformed_many(self, cells: np.ndarray) -> np.ndarray:
-        """Transformed-space coordinates of an ``(n, d)`` array of original cells."""
-        cells = np.asarray(cells, dtype=np.int64)
-        if cells.ndim != 2:
-            raise ValueError(f"cells must be a 2-D array; got shape {cells.shape}.")
-        return cells // self._factor
 
     def label_points_from_arrays(
-        self,
-        point_cells: np.ndarray,
-        label_cells: np.ndarray,
-        label_values: np.ndarray,
+        self, codec: CellCodec, codes, index: CellLabelIndex
     ) -> np.ndarray:
-        """Label original-space cells from an array-shaped label table.
+        """Labels of the original-space cells ``codes`` of ``codec`` under ``index``.
 
-        ``point_cells`` is an ``(n, d)`` array of original-space cells -- the
-        fit passes the *occupied* cells and gathers their labels through the
-        quantization inverse.  ``label_cells`` is the ``(k, d)`` array of
-        labelled transformed cells and ``label_values`` the matching ``(k,)``
-        labels.  All cells are mapped in one encode / lookup pass through a
-        throwaway :class:`CellLabelIndex`; cells without a labelled
-        counterpart get :data:`NOISE_LABEL`.
+        The fit passes its *occupied* cells and gathers their labels through
+        the quantization inverse.  All cells are mapped in one
+        :func:`transformed_codes` pass and one lookup in ``index``; cells
+        without a labelled counterpart get :data:`NOISE_LABEL`.
         """
-        transformed = self.to_transformed_many(point_cells)
-        label_cells = np.asarray(label_cells, dtype=np.int64)
-        label_values = np.asarray(label_values, dtype=np.int64)
-        if len(label_cells) == 0 or len(transformed) == 0:
-            return np.full(len(transformed), NOISE_LABEL, dtype=np.int64)
-        if label_cells.ndim != 2 or label_cells.shape[1] != transformed.shape[1]:
-            raise ValueError(
-                f"label_cells must have shape (k, {transformed.shape[1]}); "
-                f"got {label_cells.shape}."
-            )
-        return CellLabelIndex(label_cells, label_values).lookup(transformed)
+        return index.lookup(transformed_codes(codec, codes, self.level))

@@ -67,8 +67,9 @@ class ClusterModel:
     grid_shape:
         Interval counts of the original quantization grid.
     level:
-        Wavelet decomposition levels; a point's transformed cell is its
-        original cell floor-divided by ``2 ** level``.
+        Wavelet decomposition levels the fit's transform applied; a point's
+        transformed cell is its original cell floor-divided by
+        ``2 ** level``.
     threshold:
         The adaptive density threshold the run selected (metadata; already
         applied to the cell map).
@@ -79,6 +80,9 @@ class ClusterModel:
         ``(k,)`` cluster ids aligned with :attr:`cell_coords`.
     n_clusters:
         Number of clusters in the map.
+    index:
+        The map as a :class:`~repro.grid.lookup.CellLabelIndex` over codes
+        of the transformed grid, built once with the model (derived).
     metadata:
         Free-form scalar metadata (wavelet name, threshold method, training
         sample count, ...) persisted verbatim in the JSON header.
@@ -143,8 +147,8 @@ class ClusterModel:
         object.__setattr__(self, "_quantizer", quantizer)
         object.__setattr__(
             self,
-            "_index",
-            CellLabelIndex.from_codes(codec, codec.encode(coords[reachable]), labels[reachable]),
+            "index",
+            CellLabelIndex(codec, codec.encode(coords[reachable]), labels[reachable]),
         )
 
     # -- introspection ---------------------------------------------------------
@@ -247,7 +251,7 @@ class ClusterModel:
 
     def _label_block(self, X) -> np.ndarray:
         codes, inside = self._quantizer.transform_with_mask(X)
-        labels = self._index.lookup(codes)
+        labels = self.index.lookup(codes)
         labels[~inside] = NOISE_LABEL
         return labels
 

@@ -9,29 +9,24 @@ a private estimator (the calling thread takes the first slice), the shard
 streams are reduced with :meth:`AdaWave.merge_stream`, and one
 :meth:`AdaWave.finalize` runs the cheap grid-side stages.
 
-Two executors are supported.  ``"thread"`` (default) uses a
-:class:`~concurrent.futures.ThreadPoolExecutor`: the hot ingestion ops
-(array copy, floor-divide quantization, the consolidation argsort) are numpy
-calls that release the GIL, but the Python code between them holds it, and
-one :meth:`AdaWave.partial_fit` per batch (validation, bounds check, per-axis
-encode: a dozen short calls) would make the shard threads take turns at the
-GIL.  So a worker quantizes its whole shard in one vectorised pass.
-``"process"`` uses a :class:`~concurrent.futures.ProcessPoolExecutor` and
-ships the other shards' batches to worker processes -- worthwhile when
-Python overhead dominates or isolation is wanted.
+The shards run on a :class:`~concurrent.futures.ThreadPoolExecutor`: the
+hot ingestion ops (array copy, floor-divide quantization, the consolidation
+argsort) are numpy calls that release the GIL, but the Python code between
+them holds it, and one :meth:`AdaWave.partial_fit` per batch (validation,
+bounds check, per-axis encode: a dozen short calls) would make the shard
+threads take turns at the GIL.  So a worker quantizes its whole shard in
+one vectorised pass.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.adawave import AdaWave
-
-_EXECUTORS = ("thread", "process")
 
 
 def resolve_n_workers(n_workers: Optional[int], *, n_tasks: Optional[int] = None) -> int:
@@ -74,10 +69,9 @@ def _shard_batches(batches: List[np.ndarray], n_workers: int) -> List[List[np.nd
 def _ingest_shard(adawave_params: dict, shard: List[np.ndarray]) -> AdaWave:
     """Worker body: quantize one shard into a private estimator in one pass.
 
-    Module-level so the process executor can pickle it.  Per-batch
-    :meth:`AdaWave.partial_fit` calls hold the GIL between their numpy ops,
-    so the worker concatenates the shard's batches (a copy of its rows) and
-    quantizes them in one vectorised pass instead.  The sketch is
+    Per-batch :meth:`AdaWave.partial_fit` calls hold the GIL between their
+    numpy ops, so the worker concatenates the shard's batches (a copy of its
+    rows) and quantizes them in one vectorised pass instead.  The sketch is
     associative, so this is exact: one pass over the rows in batch order
     yields the grid, ``n_seen_`` and per-point code order of the batch loop.
     A shard the one pass rejects -- a 1-D batch, batches of different
@@ -111,12 +105,11 @@ def parallel_ingest(
     *,
     bounds,
     n_workers: Optional[int] = None,
-    executor: str = "thread",
     finalize: bool = True,
     lookup_only: bool = True,
     **adawave_params,
 ) -> AdaWave:
-    """Ingest ``batches`` through sharded workers into one AdaWave estimator.
+    """Ingest ``batches`` through sharded worker threads into one AdaWave estimator.
 
     Parameters
     ----------
@@ -130,8 +123,6 @@ def parallel_ingest(
         Worker count, the calling thread included; defaults to the host CPU
         count capped by the number of batches.  ``1`` ingests on the calling
         thread alone (no pool).
-    executor:
-        ``"thread"`` (default) or ``"process"``.
     finalize:
         Run :meth:`AdaWave.finalize` on the merged stream before returning.
         Pass ``False`` to keep ingesting into the returned estimator.
@@ -150,8 +141,6 @@ def parallel_ingest(
         The merged (and, by default, finalized) estimator; freeze it with
         :meth:`AdaWave.export_model` to serve it.
     """
-    if executor not in _EXECUTORS:
-        raise ValueError(f"executor must be one of {_EXECUTORS}; got {executor!r}.")
     batches = [np.asarray(batch, dtype=np.float64) for batch in batches]
     if not batches:
         raise ValueError("parallel_ingest received no batches.")
@@ -164,8 +153,7 @@ def parallel_ingest(
     if len(shards) <= 1 or n_workers == 1:
         merged = _ingest_shard(params, batches)
     else:
-        pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-        with pool_cls(max_workers=len(shards) - 1) as pool:
+        with ThreadPoolExecutor(max_workers=len(shards) - 1) as pool:
             workers = [pool.submit(_ingest_shard, params, shard) for shard in shards[1:]]
             # The calling thread takes the first shard rather than idle.
             estimators = [_ingest_shard(params, shards[0])]

@@ -201,7 +201,6 @@ class ClusteringService:
         *,
         bounds,
         n_workers: Optional[int] = None,
-        executor: str = "thread",
         **adawave_params,
     ) -> ClusterModel:
         """Cluster a batched dataset with sharded parallel ingestion and serve it.
@@ -216,7 +215,6 @@ class ClusteringService:
             batches,
             bounds=bounds,
             n_workers=n_workers,
-            executor=executor,
             **adawave_params,
         )
         return self.register(name, estimator.export_model())
@@ -525,7 +523,6 @@ class ClusteringService:
         *,
         bounds,
         n_workers: Optional[int] = None,
-        executor: str = "thread",
         **adawave_params,
     ) -> ClusterModel:
         """Awaitable :meth:`ingest`: cluster, freeze and register off-loop."""
@@ -538,7 +535,6 @@ class ClusteringService:
                 batches,
                 bounds=bounds,
                 n_workers=n_workers,
-                executor=executor,
                 **adawave_params,
             ),
         )

@@ -301,34 +301,36 @@ class StreamController:
             tune_result = tune_pyramid(
                 self.sketch.grid.copy(), levels=self.levels, **self._pipeline_params
             )
+        best = tune_result.best.candidate
+        # The model is complete before it is published: workers that load it
+        # from an artifact store see the metadata the in-process copy holds.
+        metadata = {
+            "n_seen": int(self.sketch.n_seen),
+            "sketch_mass": float(self.sketch.total_mass()),
+            "retune_index": self.n_retunes_,
+            "tuning": tune_result.provenance(),
+            "stage_seconds": dict(best.pipeline.stage_seconds),
+            "retune_stage_seconds": trace.stage_seconds(),
+            "wavelet": best.wavelet,
+            "threshold_method": best.threshold_method,
+        }
         with trace.span("publish"):
-            best = tune_result.best.candidate
             model = ClusterModel(
                 lower=self.sketch.lower,
                 upper=self.sketch.upper,
                 grid_shape=best.scale,
-                level=best.level,
+                level=best.pipeline.level,
                 threshold=best.pipeline.threshold.threshold,
                 cell_coords=best.pipeline.cell_coords,
                 cell_labels=best.pipeline.cell_labels,
                 n_clusters=best.n_clusters,
-                metadata={
-                    "n_seen": int(self.sketch.n_seen),
-                    "sketch_mass": float(self.sketch.total_mass()),
-                    "retune_index": self.n_retunes_,
-                    "tuning": tune_result.provenance(),
-                    "stage_seconds": dict(best.pipeline.stage_seconds),
-                    "wavelet": best.wavelet,
-                    "threshold_method": best.threshold_method,
-                },
+                metadata=metadata,
             )
             self.version_ = self.service.swap(self.name, model)
         # The control-plane stages feed the same per-stage histograms the
         # serving path fills, so one scrape shows where re-tunes spend their
         # time too.
-        stage_seconds = trace.stage_seconds()
-        model.metadata["retune_stage_seconds"] = stage_seconds
-        for stage, seconds in stage_seconds.items():
+        for stage, seconds in trace.stage_seconds().items():
             self.telemetry.record_stage(stage, seconds)
         self.model_ = model
         self.monitor.rebase(model, self.sketch)

@@ -21,7 +21,8 @@ entirely over occupied cells -- no points, no ground-truth labels:
 
 Both checks cost ``O(cells)`` plus one grid-side pipeline pass at the
 serving resolution -- cheap enough to run every few batches on a live
-stream.
+stream.  The sketch cells' transformed-cell codes are computed once per
+check and looked up in the served model's own index and the fresh run's.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.pipeline import run_grid_pipeline
-from repro.grid.lookup import NOISE_LABEL, CellLabelIndex
+from repro.grid.lookup import NOISE_LABEL, transformed_codes
 from repro.grid.sparse_grid import SparseGrid
 from repro.serve.model import ClusterModel
 from repro.tune.scoring import weighted_partition_nmi
@@ -185,19 +186,18 @@ class DriftMonitor:
     def _served_partition(
         self, sketch, factors: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Served label + mass per live sketch cell, and the noise fraction."""
+        """Served label, transformed-cell code and mass per live sketch
+        cell, and the noise fraction."""
         grid: SparseGrid = sketch.grid
-        coords = grid.coords
         values = grid.values
-        combined = factors * (2 ** self.model_.level)
-        index = CellLabelIndex(self.model_.cell_coords, self.model_.cell_labels)
-        served = index.lookup(coords // combined)
+        codes = transformed_codes(grid.codec, grid.codes, self.model_.level, factors)
+        served = self.model_.index.lookup(codes)
         total = float(values.sum())
         if total > 0:
             noise_fraction = float(values[served == NOISE_LABEL].sum()) / total
         else:
             noise_fraction = 1.0
-        return served, coords, values, noise_fraction
+        return served, codes, values, noise_fraction
 
     # -- public API -------------------------------------------------------------
 
@@ -232,16 +232,14 @@ class DriftMonitor:
                 "model first so there is a baseline to drift from."
             )
         factors = self._serving_factors(sketch)
-        served, coords, values, noise_fraction = self._served_partition(sketch, factors)
-        combined = factors * (2 ** self.model_.level)
+        served, codes, values, noise_fraction = self._served_partition(sketch, factors)
 
         # Fresh partition of the same cells: what the pipeline says *now*
-        # about the mass the sketch holds, at the serving resolution.
+        # about the mass the sketch holds, at the serving resolution and the
+        # served level (so its transformed grid is the served one).
         coarse = sketch.grid.coarsen(factors)
         pipe = run_grid_pipeline(coarse, level=self.model_.level, **self._fresh_params())
-        fresh = CellLabelIndex(pipe.cell_coords, pipe.cell_labels).lookup(
-            coords // combined
-        )
+        fresh = pipe.index.lookup(codes)
         stability = weighted_partition_nmi(served, fresh, values)
 
         noise_shift = abs(noise_fraction - self.baseline_noise_fraction_)

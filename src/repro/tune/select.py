@@ -69,7 +69,7 @@ class TuneResult:
 
     @property
     def level(self) -> int:
-        """The selected wavelet decomposition level."""
+        """The decomposition levels the selected candidate's transform applied."""
         return self.best.candidate.level
 
     @property

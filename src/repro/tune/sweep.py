@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.pipeline import GridPipelineResult, run_grid_pipeline
-from repro.grid.lookup import NOISE_LABEL, CellLabelIndex
+from repro.grid.lookup import NOISE_LABEL, transformed_codes
 from repro.grid.sparse_grid import SparseGrid
 from repro.tune.pyramid import GridPyramid, PyramidLevel
 from repro.wavelets.thresholding import LevelPolicy
@@ -38,7 +38,8 @@ class Candidate:
     scale:
         Interval counts of that level.
     level:
-        Wavelet decomposition level the pipeline used.
+        Wavelet decomposition levels the pipeline's transform applied (the
+        requested level, or fewer once an axis is down to one cell).
     n_clusters:
         Number of clusters the candidate produced.
     noise_fraction:
@@ -53,7 +54,7 @@ class Candidate:
         after :meth:`~repro.tune.TuneResult.compact`.
     base_cell_labels:
         Cluster id per *base-grid* occupied cell under this candidate's
-        clustering (noise = -1), aligned with the base grid's ``coords``.
+        clustering (noise = -1), aligned with the base grid's ``codes``.
         This is what lets the scoring step compare two candidates'
         partitions -- mass-weighted over cells -- without touching points.
         ``None`` after :meth:`~repro.tune.TuneResult.compact`.
@@ -79,8 +80,7 @@ class Candidate:
 
 def evaluate_candidate(
     pyramid_level: PyramidLevel,
-    base_coords: np.ndarray,
-    base_values: np.ndarray,
+    base: SparseGrid,
     *,
     level: int = 1,
     base_factor: int = 1,
@@ -88,22 +88,25 @@ def evaluate_candidate(
 ) -> Candidate:
     """Run the grid pipeline on one pyramid level and derive its diagnostics.
 
-    ``base_coords``/``base_values`` are the occupied cells of the grid every
-    candidate is compared over -- the pyramid's *finest materialized* level,
-    whose own downsampling factor is ``base_factor`` (1 unless the pyramid
-    was built with explicit factors that skip 1).  Every candidate's
-    per-cell cluster assignment is expressed over those shared cells so
-    candidates at different resolutions are directly comparable.
+    ``base`` is the grid every candidate is compared over -- the pyramid's
+    *finest materialized* level, whose own downsampling factor is
+    ``base_factor`` (1 unless the pyramid was built with explicit factors
+    that skip 1).  Every candidate's per-cell cluster assignment is
+    expressed over its occupied cells so candidates at different
+    resolutions are directly comparable.
     """
     pipe = run_grid_pipeline(pyramid_level.grid, level=level, **pipeline_params)
     # A comparison cell's transformed-space cell under this candidate:
     # coarsen from the comparison resolution to the candidate resolution
-    # (// relative factor), then apply the wavelet downsampling
+    # (// relative factor), then apply the levels the transform applied
     # (// 2**level) -- one combined shift.  Factors are powers of two and
     # increasing, so the division is exact.
-    combined = (pyramid_level.factor // base_factor) * (2**level)
-    index = CellLabelIndex(pipe.cell_coords, pipe.cell_labels)
-    base_cell_labels = index.lookup(base_coords // combined)
+    base_cell_labels = pipe.index.lookup(
+        transformed_codes(
+            base.codec, base.codes, pipe.level, pyramid_level.factor // base_factor
+        )
+    )
+    base_values = base.values
     total_mass = float(base_values.sum())
     if total_mass > 0:
         noise_mass = float(base_values[base_cell_labels == NOISE_LABEL].sum())
@@ -113,7 +116,7 @@ def evaluate_candidate(
     return Candidate(
         factor=pyramid_level.factor,
         scale=pyramid_level.scale,
-        level=level,
+        level=pipe.level,
         n_clusters=pipe.n_clusters,
         noise_fraction=noise_fraction,
         grid=pyramid_level.grid,
@@ -160,13 +163,10 @@ def sweep_pyramid(
         LevelPolicy.parse(spec)  # fail fast, before any candidate runs
     base = pyramid.levels[0].grid
     base_factor = pyramid.levels[0].factor
-    base_coords = base.coords
-    base_values = base.values
     return [
         evaluate_candidate(
             pyramid_level,
-            base_coords,
-            base_values,
+            base,
             level=level,
             base_factor=base_factor,
             wavelet=wavelet,

@@ -113,6 +113,18 @@ class TestDistanceThreshold:
         with pytest.raises(ValueError):
             elbow_threshold_distance([])
 
+    def test_tied_points_pick_the_first_whatever_the_rounding(self):
+        # A centrally symmetric curve has two points equally far from the
+        # chord; the two engines round its densities differently in the last
+        # ulps, which must not move the pick.
+        for ulp in (0.0, 1e-14, -1e-14):
+            assert elbow_threshold_distance([52.25, 51.75 + ulp, 8.25, 7.75]).index == 1
+            assert elbow_threshold_distance([52.25, 51.75, 8.25 + ulp, 7.75]).index == 1
+        # A straight curve has no knee: its distances are rounding noise and
+        # the pick stays where exact arithmetic puts it.
+        for ulp in (0.0, 1e-14, -1e-14):
+            assert elbow_threshold_distance([42.75, 37.75, 32.75 + ulp, 27.75]).index == 0
+
 
 class TestAngleThreshold:
     def test_returns_diagnostics_or_none(self):

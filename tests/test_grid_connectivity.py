@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.grid.connectivity import component_sizes, connected_components, neighbor_offsets
-from repro.grid.lookup import NOISE_LABEL, CellLabelIndex, LookupTable
+from repro.grid.codec import CellCodec
+from repro.grid.lookup import NOISE_LABEL, CellLabelIndex, LookupTable, transformed_codes
 
 
 class TestNeighborOffsets:
@@ -94,59 +95,72 @@ class TestConnectedComponents:
 
 
 class TestLookupTable:
-    def test_downsample_factor(self):
-        assert LookupTable(level=1).downsample_factor == 2
-        assert LookupTable(level=3).downsample_factor == 8
+    def test_transformed_codes_divide_by_factor_times_two_to_the_level(self):
+        codec = CellCodec((8, 6))
+        cells = np.array([[7, 3], [4, 5], [0, 0]])
+        codes = transformed_codes(codec, codec.encode(cells), 1, 2)
+        coarse = codec.coarsen(4)
+        assert coarse.shape == (2, 2)
+        np.testing.assert_array_equal(coarse.decode(codes), cells // 4)
+        # Per-axis factors (a serving resolution coarser along one axis).
+        codes = transformed_codes(codec, codec.encode(cells), 0, [1, 3])
+        np.testing.assert_array_equal(codec.coarsen([1, 3]).decode(codes), cells // [1, 3])
+
+    def test_labels_cells_at_the_level(self):
+        codec = CellCodec((8, 8))
+        coarse = codec.coarsen(4)
+        index = CellLabelIndex(coarse, coarse.encode(np.array([[1, 0], [0, 1]])), [2, 7])
+        cells = np.array([[4, 3], [3, 4], [0, 0], [7, 7]])
+        np.testing.assert_array_equal(
+            LookupTable(level=2).label_points_from_arrays(codec, codec.encode(cells), index),
+            [2, 7, NOISE_LABEL, NOISE_LABEL],
+        )
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             LookupTable(level=-1)
 
-    def test_label_points_requires_2d(self):
-        with pytest.raises(ValueError, match="2-D"):
-            LookupTable().to_transformed_many(np.array([1, 2, 3]))
-
 
 class TestCellLabelIndex:
+    codec = CellCodec((6, 6))
+
+    def _index(self, cells, labels):
+        return CellLabelIndex(self.codec, self.codec.encode(np.array(cells)), labels)
+
     def test_lookup_matches_dict_semantics(self):
-        cells = np.array([[0, 0], [1, 2], [5, 5]])
-        index = CellLabelIndex(cells, np.array([3, 1, 0]))
-        queries = np.array([[1, 2], [0, 0], [4, 4], [5, 5], [-3, 0]])
-        np.testing.assert_array_equal(
-            index.lookup(queries), [1, 3, NOISE_LABEL, 0, NOISE_LABEL]
-        )
+        index = self._index([[5, 5], [0, 0], [1, 2]], np.array([0, 3, 1]))
+        queries = self.codec.encode(np.array([[1, 2], [0, 0], [4, 4], [5, 5]]))
+        np.testing.assert_array_equal(index.lookup(queries), [1, 3, NOISE_LABEL, 0])
 
     def test_empty_index_everything_noise(self):
-        index = CellLabelIndex(np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))
-        np.testing.assert_array_equal(
-            index.lookup(np.array([[0, 0], [1, 1]])), [NOISE_LABEL, NOISE_LABEL]
-        )
+        index = CellLabelIndex(self.codec, np.empty(0, dtype=np.int64), np.empty(0))
+        np.testing.assert_array_equal(index.lookup([0, 7, 35]), [NOISE_LABEL] * 3)
 
     def test_empty_query(self):
-        index = CellLabelIndex(np.array([[0, 0]]), np.array([2]))
-        assert index.lookup(np.empty((0, 2), dtype=np.int64)).shape == (0,)
+        index = self._index([[0, 0]], [2])
+        assert index.lookup(np.empty(0, dtype=np.int64)).shape == (0,)
 
-    def test_outside_bounding_box_is_noise_without_encoding(self):
-        index = CellLabelIndex(np.array([[10, 10], [11, 10]]), np.array([0, 0]))
+    def test_codes_outside_the_box_are_noise(self):
+        index = self._index([[0, 0], [5, 5]], [4, 1])
         np.testing.assert_array_equal(
-            index.lookup(np.array([[0, 0], [10, 10], [2**40, 2**40]])),
-            [NOISE_LABEL, 0, NOISE_LABEL],
+            index.lookup([-1, 0, 35, 36, 2**40, -(2**40)]),
+            [NOISE_LABEL, 4, 1, NOISE_LABEL, NOISE_LABEL, NOISE_LABEL],
         )
 
-    def test_overflow_extent_falls_back_to_hash_table(self):
-        huge = np.array([[0] * 9, [2**8] * 9], dtype=np.int64) * (2**32 // 2**8)
-        index = CellLabelIndex(huge, np.array([4, 5]))
-        assert index.codec.exact  # int64 codes would collide
+    def test_exact_regime_for_boxes_of_at_least_2_62_cells(self):
+        codec = CellCodec((2**32,) * 9)
+        cells = np.array([[0] * 9, [2**32 - 1] * 9, [2**31] * 9])
+        index = CellLabelIndex(codec, codec.encode(cells[:2]), [4, 5])
+        assert codec.exact and index.codes.dtype == object  # int64 codes would collide
         np.testing.assert_array_equal(
-            index.lookup(np.vstack([huge, np.ones((1, 9), dtype=np.int64)])),
-            [4, 5, NOISE_LABEL],
+            index.lookup(codec.encode(cells)), [4, 5, NOISE_LABEL]
         )
 
-    def test_dimension_mismatch_rejected(self):
-        index = CellLabelIndex(np.array([[0, 0]]), np.array([1]))
-        with pytest.raises(ValueError, match="shape"):
-            index.lookup(np.array([[1, 2, 3]]))
+    def test_non_code_queries_rejected(self):
+        index = self._index([[0, 0]], [1])
+        with pytest.raises(ValueError, match="1-D"):
+            index.lookup(np.array([[1, 2]]))
 
     def test_misaligned_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
-            CellLabelIndex(np.array([[0, 0], [1, 1]]), np.array([1]))
+            self._index([[0, 0], [1, 1]], np.array([1]))

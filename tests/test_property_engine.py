@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.adawave import AdaWave
 from repro.engine import reference
 from repro.grid.connectivity import connected_components, label_components_array
-from repro.grid.lookup import LookupTable
+from repro.grid.codec import CellCodec
+from repro.grid.lookup import CellLabelIndex, LookupTable
 from repro.grid.quantizer import GridQuantizer
 from repro.grid.sparse_grid import SparseGrid
 from repro.spatial.union_find import ArrayUnionFind, UnionFind
@@ -162,23 +163,36 @@ class TestLookupEquivalence:
     )
     @settings(max_examples=80, deadline=None)
     def test_label_points_matches_reference(self, points, labelled, level):
-        lookup = LookupTable(level=level)
+        codec = CellCodec((16, 16))
         point_cells = np.asarray(points, dtype=np.int64)
+        # Labelled cells outside the transformed grid (when level 2 leaves
+        # 4 x 4 cells) are never reached, so they stay out of the index.
+        transformed = codec.coarsen(2**level)
         label_cells = np.asarray(list(labelled), dtype=np.int64).reshape(len(labelled), 2)
         label_values = np.asarray(list(labelled.values()), dtype=np.int64)
-        vectorized = lookup.label_points_from_arrays(point_cells, label_cells, label_values)
-        looped = reference.label_points_reference(lookup, point_cells, labelled)
+        inside = transformed.contains(label_cells)
+        index = CellLabelIndex(
+            transformed, transformed.encode(label_cells[inside]), label_values[inside]
+        )
+        vectorized = LookupTable(level=level).label_points_from_arrays(
+            codec, codec.encode(point_cells), index
+        )
+        looped = reference.label_points_reference(point_cells, labelled, level)
         np.testing.assert_array_equal(vectorized, looped)
 
     def test_label_points_survives_unencodable_extent(self):
-        """Coordinates whose bounding box exceeds the int64 code range must
-        take the exact-code path rather than silently colliding."""
-        lookup = LookupTable(level=0)
+        """A grid of 2**62 cells or more must take the exact-code path
+        rather than silently colliding."""
         huge = 2**31
+        codec = CellCodec((huge + 1, huge + 1))
+        assert codec.exact
         point_cells = np.array([[0, 0], [huge, huge], [huge, 0]], dtype=np.int64)
         label_cells = np.array([[0, 0], [huge, huge]], dtype=np.int64)
+        index = CellLabelIndex(codec, codec.encode(label_cells), np.array([3, 5]))
         np.testing.assert_array_equal(
-            lookup.label_points_from_arrays(point_cells, label_cells, np.array([3, 5])),
+            LookupTable(level=0).label_points_from_arrays(
+                codec, codec.encode(point_cells), index
+            ),
             [3, 5, -1],
         )
 

@@ -2,8 +2,8 @@
 
 Grid merging is associative and commutative, so parallel ingestion must be
 *exact*: any shard split across any worker count produces the same model a
-serial pass produces.  These tests pin that down for the thread and process
-executors, for `AdaWave.merge_stream` directly, and for the parallel
+serial pass produces.  These tests pin that down for the threaded shard
+workers, for `AdaWave.merge_stream` directly, and for the parallel
 `BatchRunner.run_many` fan-out.
 """
 
@@ -65,16 +65,6 @@ class TestParallelIngest:
         )
         np.testing.assert_array_equal(model.labels_, one_shot.labels_)
 
-    def test_process_executor_matches(self, dataset, one_shot):
-        model = parallel_ingest(
-            np.array_split(dataset, 4),
-            bounds=BOUNDS,
-            scale=64,
-            n_workers=2,
-            executor="process",
-        )
-        np.testing.assert_array_equal(model.predict(dataset), one_shot.labels_)
-
     def test_finalize_false_returns_open_stream(self, dataset, one_shot):
         model = parallel_ingest(
             np.array_split(dataset, 6),
@@ -99,12 +89,6 @@ class TestParallelIngest:
     def test_all_empty_batches_raises(self):
         with pytest.raises(ValueError, match="non-empty"):
             parallel_ingest([np.empty((0, 2))], bounds=BOUNDS, scale=64)
-
-    def test_invalid_executor_rejected(self, dataset):
-        with pytest.raises(ValueError, match="executor"):
-            parallel_ingest(
-                np.array_split(dataset, 2), bounds=BOUNDS, scale=64, executor="mpi"
-            )
 
     def test_invalid_worker_count_rejected(self, dataset):
         with pytest.raises(ValueError, match="n_workers"):
@@ -154,18 +138,17 @@ def _outside_bounds(batch):
 
 
 class TestParallelIngestErrors:
-    """A bad batch raises what ``partial_fit`` raises for it, on both executors.
+    """A bad batch raises what ``partial_fit`` raises for it.
 
     Workers quantize a shard in one pass over its concatenated batches; a
     shard that pass rejects must still surface the per-batch ``ValueError``
     of a serial stream, never numpy's concatenation error.
     """
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
     @pytest.mark.parametrize(
         "spoil", [_one_dimensional, _wider, _with_nan, _outside_bounds]
     )
-    def test_bad_batch_raises_partial_fit_error(self, dataset, executor, spoil):
+    def test_bad_batch_raises_partial_fit_error(self, dataset, spoil):
         batches = np.array_split(dataset, 4)
         # Last batch of the second shard: that worker's stream has started.
         batches[3] = spoil(batches[3])
@@ -174,9 +157,7 @@ class TestParallelIngestErrors:
             for batch in batches:
                 serial.partial_fit(batch)
         with pytest.raises(ValueError) as raised:
-            parallel_ingest(
-                batches, bounds=BOUNDS, scale=64, n_workers=2, executor=executor
-            )
+            parallel_ingest(batches, bounds=BOUNDS, scale=64, n_workers=2)
         assert type(raised.value) is type(expected.value)
         assert str(raised.value) == str(expected.value)
         # Raised afresh, not while handling numpy's concatenation error.

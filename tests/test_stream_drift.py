@@ -8,15 +8,22 @@ shifted suite must reach at least 0.95x a from-scratch
 ``AdaWave(scale="tune")`` fit.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.stream.drift as drift_module
 from repro.core.adawave import AdaWave
+from repro.core.pipeline import run_grid_pipeline
 from repro.datasets.synthetic import drifting_dataset
 from repro.experiments.drift import run_drift_recovery
+from repro.grid.lookup import NOISE_LABEL, CellLabelIndex
 from repro.metrics import ami_on_true_clusters
 from repro.serve import ClusteringService
-from repro.stream import DriftMonitor, StreamController, StreamSketch
+from repro.stream import DriftMonitor, DriftReport, StreamController, StreamSketch
+from repro.tune.scoring import weighted_partition_nmi
 from repro.utils.validation import NotFittedError
 
 BOUNDS = ([0.0, 0.0], [1.0, 1.0])
@@ -119,6 +126,101 @@ class TestDriftMonitorMemory:
         assert not report.drifted
         assert peak < 16 * 2**20, f"drift check peaked at {peak / 2**20:.1f} MB"
         assert held < 2**20, f"monitor holds {held / 2**20:.1f} MB after the check"
+
+
+def _brute_force_labels(sketch, model, cell_coords, cell_labels):
+    """Label of every sketch cell: its decoded cell ``// combined`` looked up
+    in a dict of the labelled cells, ``combined`` being the serving factors
+    times ``2 ** model.level``."""
+    factors = np.asarray(sketch.shape) // np.asarray(model.grid_shape)
+    labelled = dict(zip(map(tuple, np.asarray(cell_coords).tolist()), cell_labels.tolist()))
+    cells = sketch.grid.coords // (factors * 2**model.level)
+    return np.asarray([labelled.get(tuple(cell), NOISE_LABEL) for cell in cells.tolist()])
+
+
+def _noise_fraction(labels, values):
+    total = float(values.sum())
+    return float(values[labels == NOISE_LABEL].sum()) / total if total > 0 else 1.0
+
+
+@st.composite
+def drifting_streams(draw):
+    """A published model, the sketch it was published on, and later batches."""
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    n_per_cluster = draw(st.integers(min_value=60, max_value=300))
+    phase = draw(st.floats(min_value=0.0, max_value=1.0))
+    # Serving resolutions nest in the 128-interval sketch; axes of 4 cells
+    # make the transform stop before the requested level.
+    scale = tuple(draw(st.lists(st.sampled_from([4, 16, 32, 64, 128]), min_size=2, max_size=2)))
+    level = draw(st.integers(min_value=1, max_value=3))
+    published = drifting_dataset(0.0, n_per_cluster=n_per_cluster, seed=seed).points
+    later = drifting_dataset(phase, n_per_cluster=n_per_cluster, seed=seed + 1).points
+    return published, later, scale, level
+
+
+class TestDriftReportOracle:
+    @given(stream=drifting_streams())
+    @settings(deadline=None)
+    def test_report_matches_brute_force_and_reuses_the_served_index(self, stream):
+        published, later, scale, level = stream
+        sketch = StreamSketch(BOUNDS, 128, 2)
+        sketch.ingest(published)
+        model = AdaWave(scale=scale, level=level, bounds=BOUNDS).fit(published).export_model()
+        monitor = DriftMonitor()
+
+        built, pipes = [], []
+        original_init = CellLabelIndex.__init__
+
+        def counting_init(index, *args, **kwargs):
+            built.append(index)
+            original_init(index, *args, **kwargs)
+
+        def recording_pipeline(*args, **kwargs):
+            pipes.append(run_grid_pipeline(*args, **kwargs))
+            return pipes[-1]
+
+        with mock.patch.object(CellLabelIndex, "__init__", counting_init), mock.patch.object(
+            drift_module, "run_grid_pipeline", recording_pipeline
+        ):
+            monitor.rebase(model, sketch)
+            assert built == []  # the served partition uses the model's own index
+            baseline = _noise_fraction(
+                _brute_force_labels(sketch, model, model.cell_coords, model.cell_labels),
+                sketch.grid.values,
+            )
+            sketch.ingest(later)
+            report = monitor.assess(sketch)
+        # One index per check: the fresh pipeline run's, none for the served model.
+        assert len(pipes) == 1 and built == [pipes[0].index]
+
+        values = sketch.grid.values
+        served = _brute_force_labels(sketch, model, model.cell_coords, model.cell_labels)
+        factors = np.asarray(sketch.shape) // np.asarray(model.grid_shape)
+        fresh_pipe = run_grid_pipeline(sketch.grid.coarsen(factors), level=model.level)
+        fresh = _brute_force_labels(sketch, model, fresh_pipe.cell_coords, fresh_pipe.cell_labels)
+        noise_fraction = _noise_fraction(served, values)
+        stability = weighted_partition_nmi(served, fresh, values)
+        noise_shift = abs(noise_fraction - baseline)
+        reasons = []
+        if stability < monitor.min_stability:
+            reasons.append(
+                f"partition stability {stability:.3f} fell below {monitor.min_stability:.3f}"
+            )
+        if noise_shift > monitor.max_noise_shift:
+            reasons.append(
+                f"noise-band mass fraction shifted by {noise_shift:.3f} "
+                f"(baseline {baseline:.3f}, live {noise_fraction:.3f}, "
+                f"tolerance {monitor.max_noise_shift:.3f})"
+            )
+        assert monitor.baseline_noise_fraction_ == baseline
+        assert report == DriftReport(
+            drifted=bool(reasons),
+            stability=stability,
+            noise_fraction=noise_fraction,
+            noise_shift=noise_shift,
+            n_seen=len(published) + len(later),
+            reasons=tuple(reasons),
+        )
 
 
 class TestStreamControllerLoop:
