@@ -95,6 +95,20 @@ class TestConnectedComponents:
 
 
 class TestLookupTable:
+    def test_downsample_factor(self):
+        # Each level halves the grid: level 1 maps cell c to c // 2, level 3 to c // 8.
+        codec = CellCodec((16, 16))
+        cells = np.array([[9, 14], [15, 3], [1, 1]])
+        for level, factor in [(1, 2), (3, 8)]:
+            coarse = codec.coarsen(factor)
+            index = CellLabelIndex(coarse, coarse.encode(cells // factor), [4, 5, 6])
+            np.testing.assert_array_equal(
+                LookupTable(level=level).label_points_from_arrays(
+                    codec, codec.encode(cells), index
+                ),
+                [4, 5, 6],
+            )
+
     def test_transformed_codes_divide_by_factor_times_two_to_the_level(self):
         codec = CellCodec((8, 6))
         cells = np.array([[7, 3], [4, 5], [0, 0]])
@@ -119,6 +133,16 @@ class TestLookupTable:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             LookupTable(level=-1)
+
+    def test_label_points_requires_1d_codes(self):
+        # Coordinate rows are not codes: the mapper rejects them, never mislabels.
+        codec = CellCodec((8, 8))
+        coarse = codec.coarsen(2)
+        index = CellLabelIndex(coarse, coarse.encode(np.array([[1, 0]])), [2])
+        with pytest.raises(ValueError, match="1-D"):
+            LookupTable(level=1).label_points_from_arrays(
+                codec, np.array([[2, 1], [3, 3]]), index
+            )
 
 
 class TestCellLabelIndex:
@@ -160,6 +184,11 @@ class TestCellLabelIndex:
         index = self._index([[0, 0]], [1])
         with pytest.raises(ValueError, match="1-D"):
             index.lookup(np.array([[1, 2]]))
+
+    def test_dimension_mismatch_rejected(self):
+        # The constructor takes 1-D codes; coordinate rows of cells are rejected.
+        with pytest.raises(ValueError, match="1-D"):
+            CellLabelIndex(self.codec, np.array([[0, 0], [1, 2]]), [1, 2])
 
     def test_misaligned_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
