@@ -8,13 +8,17 @@ only the scale-space (approximation) coefficients, discarding the wavelet
 ``level`` passes over all dimensions the transformed grid is the
 ``LL...L`` subband at resolution ``scale / 2**level``.
 
-The transform never materialises the dense d-dimensional grid: it gathers the
+Two layouts run the same per-line kernel (:func:`approx_lines`), with the
+same results bit for bit.  A grid whose box is small next to its occupied
+cells (the codec's size rule, :meth:`~repro.grid.codec.CellCodec.fits_dense`)
+is scattered once into a dense array, and every pass runs the kernel over
+every line of the box with that axis moved last.  Above the rule the
+transform never materialises the dense d-dimensional grid: it gathers the
 occupied 1-D lines of the sparse grid (there are at most as many lines as
-occupied cells) into one ``(n_lines, scale)`` matrix and runs one batched
-approximation-only kernel over it (:func:`approx_lines`), which keeps the cost
-``O(number of occupied cells * scale)`` and turns the per-line Python loop of
-the original implementation into three vectorized array passes (group,
-transform, scatter).
+occupied cells) into one ``(n_lines, scale)`` matrix, which keeps the cost
+``O(number of occupied cells * scale)`` however large the box, the memory
+bound Algorithm 2's sparse storage is there for.  Both layouts drop the
+coefficients that :data:`_NEGLIGIBLE` calls zero after every pass.
 """
 
 from __future__ import annotations
@@ -93,32 +97,74 @@ def _transform_axis(grid: SparseGrid, wavelet, axis: int) -> SparseGrid:
     return SparseGrid.from_coo(new_shape, coords, approx[mask])
 
 
-def _shrink_grid(grid: SparseGrid, rule: str) -> SparseGrid:
-    """One MAD-scaled VisuShrink pass over a grid's approximation coefficients.
+def _transform_dense(
+    grid: SparseGrid, wavelet, levels: int, rule: Optional[str]
+) -> SparseGrid:
+    """``levels`` transform levels of the grid over its dense box.
 
-    Estimates the universal threshold from the occupied-cell values
-    (:func:`repro.wavelets.universal_threshold` -- MAD sigma with std
-    fallback), applies the hard or soft rule and drops the zeroed cells.
-    Degenerate cases are contained: an unestimable noise scale (empty or
-    constant band) or a cut that would erase every cell leaves the grid
-    unchanged rather than handing the threshold stage an empty band.
+    The densities are scattered through their codes into one C-order array;
+    every pass moves its axis last and runs :func:`approx_lines` over the
+    ``(lines, length)`` reshape, then zeroes the coefficients
+    :func:`_transform_axis` would not store.  ``rule`` adds
+    :func:`_shrink_grid`'s per-level pass between levels, on the non-zero
+    cells in code order.  The non-zero cells are read back in code order,
+    so the result is the grid the per-axis passes of :func:`_transform_axis`
+    build, bit for bit.
     """
-    values = grid.values
+    dense = np.zeros(grid.codec.size)
+    dense[grid.codes] = grid.values
+    dense = dense.reshape(grid.shape)
+    for _ in range(levels):
+        for axis in range(dense.ndim):
+            lines = np.moveaxis(dense, axis, -1)
+            approx = approx_lines(lines.reshape(-1, lines.shape[-1]), wavelet)
+            approx[~(np.abs(approx) > _NEGLIGIBLE)] = 0.0
+            dense = np.moveaxis(approx.reshape(lines.shape[:-1] + (-1,)), -1, axis)
+        if rule is not None:
+            flat = dense.ravel()
+            cells = np.flatnonzero(flat)
+            shrunk = _shrink_values(flat[cells], rule)
+            if shrunk is not None:
+                flat[cells] = shrunk
+                dense = flat.reshape(dense.shape)
+    flat = dense.ravel()
+    cells = np.flatnonzero(flat)
+    return SparseGrid._from_sorted(dense.shape, cells, flat[cells])
+
+
+def _shrink_values(values: np.ndarray, rule: str) -> Optional[np.ndarray]:
+    """One MAD-scaled VisuShrink pass over approximation coefficients.
+
+    Estimates the universal threshold from the values
+    (:func:`repro.wavelets.universal_threshold` -- MAD sigma with std
+    fallback) and applies the hard or soft rule; the cells it zeroes drop
+    out.  Returns ``None`` where the pass leaves the band as it is: an
+    unestimable noise scale (empty or constant band), a cut that would
+    erase every cell rather than hand the threshold stage an empty band,
+    or a hard cut that zeroes nothing.
+    """
     if len(values) == 0:
-        return grid
+        return None
     try:
         cut = universal_threshold(values)
     except ValueError:
-        return grid
+        return None
     if cut <= 0.0:
-        return grid
+        return None
     shrunk = soft_threshold(values, cut) if rule == "soft" else hard_threshold(values, cut)
-    mask = shrunk != 0.0
-    if not mask.any():
+    kept = shrunk != 0.0
+    if not kept.any() or (kept.all() and rule == "hard"):
+        return None
+    return shrunk
+
+
+def _shrink_grid(grid: SparseGrid, rule: str) -> SparseGrid:
+    """:func:`_shrink_values` over a grid's cells, dropping the zeroed ones."""
+    shrunk = _shrink_values(grid.values, rule)
+    if shrunk is None:
         return grid
-    if mask.all() and rule == "hard":
-        return grid
-    return SparseGrid.from_coo(grid.shape, grid.coords[mask], shrunk[mask])
+    kept = shrunk != 0.0
+    return SparseGrid._from_sorted(grid.shape, grid.codes[kept], shrunk[kept])
 
 
 def applied_level(shape, level: int) -> int:
@@ -172,13 +218,17 @@ def wavelet_smooth_grid(
     if level < 1:
         raise ValueError(f"level must be >= 1; got {level}.")
     bank = build_wavelet(wavelet)
-    per_level = shrink is not None and shrink.mode == "per-level"
-    current = grid
-    for _ in range(applied_level(grid.shape, level)):
-        for axis in range(current.ndim):
-            current = _transform_axis(current, bank, axis)
-        if per_level:
-            current = _shrink_grid(current, shrink.rule)
+    rule = shrink.rule if shrink is not None and shrink.mode == "per-level" else None
+    levels = applied_level(grid.shape, level)
+    if levels and grid.codec.fits_dense(grid.n_occupied):
+        current = _transform_dense(grid, bank, levels, rule)
+    else:
+        current = grid
+        for _ in range(levels):
+            for axis in range(current.ndim):
+                current = _transform_axis(current, bank, axis)
+            if rule is not None:
+                current = _shrink_grid(current, rule)
     if shrink is not None and shrink.mode == "global" and shrink.rule == "soft":
         current = _shrink_grid(current, "soft")
     return current, current.shape

@@ -28,6 +28,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.transform import applied_level
 from repro.grid.codec import CellCodec
 from repro.grid.lookup import NOISE_LABEL, CellLabelIndex
 from repro.grid.quantizer import GridQuantizer
@@ -117,6 +118,15 @@ class ClusterModel:
             raise ValueError(
                 f"cell_labels must have shape ({len(coords)},); got {labels.shape}."
             )
+        level = int(self.level)
+        applied = applied_level(grid_shape, level)
+        if level > applied:
+            raise ValueError(
+                f"level {level} is more than a grid of shape {grid_shape} takes: "
+                f"the transform stops after {applied}. "
+                "The artifact predates the applied-level fix, so its cell map "
+                "labels the wrong cells; refit the model and export it again."
+            )
         if len(coords):
             # Canonicalise to sorted COO order so saved artifacts are
             # byte-stable regardless of how the map was assembled.  Already-
@@ -129,7 +139,7 @@ class ClusterModel:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "grid_shape", grid_shape)
-        object.__setattr__(self, "level", int(self.level))
+        object.__setattr__(self, "level", level)
         object.__setattr__(self, "threshold", float(self.threshold))
         object.__setattr__(self, "cell_coords", coords)
         object.__setattr__(self, "cell_labels", labels)

@@ -12,11 +12,13 @@ about one fit plus ``S`` cheap grid passes, not ``S`` fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.pipeline import GridPipelineResult, run_grid_pipeline
+from repro.core.transform import applied_level
 from repro.grid.lookup import NOISE_LABEL, transformed_codes
 from repro.grid.sparse_grid import SparseGrid
 from repro.tune.pyramid import GridPyramid, PyramidLevel
@@ -137,7 +139,11 @@ def sweep_pyramid(
 
     Returns the candidates grouped by (decomposition level, wavelet,
     threshold policy), finest resolution first within each group -- the
-    order the scoring step's adjacent-scale comparisons expect.
+    order the scoring step's adjacent-scale comparisons expect.  A pyramid
+    grid too coarse for a requested level runs the levels it can take
+    (:func:`~repro.core.transform.applied_level`), so two requested levels
+    can name one candidate; each distinct (factor, applied level, wavelet,
+    policy) is evaluated once, at the first requested level that reaches it.
     ``pipeline_params`` are the grid-side stage parameters; two of them are
     sweep axes rather than scalars: a ``wavelet`` *sequence* sweeps the
     basis family, and ``threshold="tune"`` sweeps the level policies in
@@ -163,18 +169,29 @@ def sweep_pyramid(
         LevelPolicy.parse(spec)  # fail fast, before any candidate runs
     base = pyramid.levels[0].grid
     base_factor = pyramid.levels[0].factor
-    return [
-        evaluate_candidate(
-            pyramid_level,
-            base,
-            level=level,
-            base_factor=base_factor,
-            wavelet=wavelet,
-            threshold=threshold,
-            **pipeline_params,
+    candidates: List[Candidate] = []
+    seen = set()
+    for level, wavelet, threshold, pyramid_level in product(
+        levels, wavelets, thresholds, pyramid.levels
+    ):
+        key = (
+            pyramid_level.factor,
+            applied_level(pyramid_level.grid.shape, level),
+            getattr(wavelet, "name", None) or str(wavelet),
+            LevelPolicy.parse(threshold).name,
         )
-        for level in levels
-        for wavelet in wavelets
-        for threshold in thresholds
-        for pyramid_level in pyramid.levels
-    ]
+        if key in seen:
+            continue
+        seen.add(key)
+        candidates.append(
+            evaluate_candidate(
+                pyramid_level,
+                base,
+                level=level,
+                base_factor=base_factor,
+                wavelet=wavelet,
+                threshold=threshold,
+                **pipeline_params,
+            )
+        )
+    return candidates

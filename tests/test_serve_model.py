@@ -317,6 +317,42 @@ class TestClusterModelRejection:
         with pytest.raises(ValueError, match="corrupted"):
             ClusterModel.load(path)
 
+    @staticmethod
+    def _two_by_64(level):
+        return ClusterModel(
+            lower=np.zeros(2), upper=np.ones(2), grid_shape=(2, 64), level=level,
+            threshold=1.0, cell_coords=np.array([[0, 3], [0, 4]]),
+            cell_labels=np.array([0, 0]), n_clusters=1,
+        )
+
+    def test_level_the_grid_cannot_take_rejected(self):
+        # The transform of a (2, 64) grid stops after one level.
+        with pytest.raises(ValueError, match="predates the applied-level fix.*refit"):
+            self._two_by_64(level=3)
+
+    @pytest.mark.parametrize("compress, mmap", [(True, False), (False, True)])
+    def test_artifact_with_a_level_its_grid_cannot_take_rejected(
+        self, monkeypatch, tmp_path, compress, mmap
+    ):
+        # Written as a fit before the applied-level fix saved it: the
+        # requested level 3 in the header of a (2, 64) grid's cell map.
+        model = self._two_by_64(level=1)
+        header = ClusterModel._header
+        monkeypatch.setattr(ClusterModel, "_header", lambda self: {**header(self), "level": 3})
+        path = model.save(tmp_path / "old.npz", compress=compress)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="predates the applied-level fix.*refit"):
+            ClusterModel.load(path, mmap=mmap)
+
+    @pytest.mark.parametrize("compress, mmap", [(True, False), (False, True)])
+    def test_level_the_grid_takes_still_loads(self, tmp_path, compress, mmap):
+        model = self._two_by_64(level=1)
+        loaded = ClusterModel.load(model.save(tmp_path / "m.npz", compress=compress), mmap=mmap)
+        assert loaded.level == 1
+        X = np.array([[0.2, 6.5 / 64], [0.7, 9.5 / 64], [0.7, 0.9]])
+        np.testing.assert_array_equal(loaded.predict(X), [0, 0, -1])
+        np.testing.assert_array_equal(loaded.predict(X), model.predict(X))
+
     def test_saved_file_is_a_real_zip(self, fitted, tmp_path):
         _, estimator = fitted
         path = estimator.export_model().save(tmp_path / "model.npz")

@@ -125,6 +125,26 @@ class TestTuneResultSurface:
         assert model.tune_result_.level in (1, 2)
         assert model.result_.level == model.tune_result_.level
 
+    def test_each_distinct_candidate_is_evaluated_once(self):
+        # Level 4 stops at 3 on the pyramid's 8 x 8 grid, so it names the
+        # level-3 candidate there; it is evaluated once, at level 3.
+        dataset = running_example(noise_fraction=0.75, n_per_cluster=800, seed=0)
+        model = AdaWave(scale="tune", tune_levels=(1, 2, 3, 4)).fit(dataset.points)
+        keys = [
+            (c.factor, c.scale, c.level, c.wavelet, c.threshold_method)
+            for c in (score.candidate for score in model.tune_result_.scores)
+        ]
+        assert len(keys) == len(set(keys)) == 23
+        assert keys.count((32, (8, 8), 3, "bior2.2", "global-hard")) == 1
+        rows = model.tune_result_.table()
+        assert len(rows) == len(keys)
+
+    def test_default_level_sweep_keeps_every_candidate(self):
+        dataset = running_example(noise_fraction=0.75, n_per_cluster=800, seed=0)
+        model = AdaWave(scale="tune", threshold="tune").fit(dataset.points)
+        scales = {score.candidate.scale for score in model.tune_result_.scores}
+        assert len(model.tune_result_.scores) == 4 * len(scales)
+
 
 class TestStreamingTuning:
     """scale='tune' streams ingest fine and pick the resolution at finalize."""
