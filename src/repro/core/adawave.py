@@ -18,10 +18,9 @@ paper, runs in ``O(n * m)`` time (``n`` objects, ``m`` occupied cells) and
 never computes pairwise distances.
 
 All stages run as numpy array passes over the COO grid (the vectorized
-engine).  The literal per-cell implementations survive in
+engine).  The literal per-cell implementations live in
 :mod:`repro.engine.reference` as the ground truth of the golden-regression
-tests; selecting them through the constructor was deprecated in a previous
-release and has been removed.
+tests (:func:`repro.engine.reference.fit_reference` runs them end to end).
 
 The one knob the paper leaves hand-set -- ``scale`` -- can now be chosen by
 the estimator itself: ``AdaWave(scale="tune")`` quantizes once at a fine
@@ -57,7 +56,6 @@ from repro.core.pipeline import (
     CONNECTIVITIES,
     THRESHOLD_METHODS,
     GridPipelineResult,
-    resolve_connectivity,
     run_grid_pipeline,
 )
 from repro.core.threshold import ThresholdDiagnostics
@@ -191,12 +189,6 @@ class AdaWave:
         Optional explicit ``(lower, upper)`` feature-space bounds forwarded
         to the quantizer.  Required for :meth:`partial_fit` (every batch must
         quantize against the same grid); optional for :meth:`fit`.
-    engine:
-        Must be ``"vectorized"`` (the only engine).  Selecting the removed
-        ``"reference"`` engine raises ``ValueError``; the per-cell reference
-        implementations stay importable from :mod:`repro.engine.reference`
-        (with :func:`repro.engine.reference.fit_reference` as the one-shot
-        driver) for the golden-regression tests.
     tune_levels:
         Decomposition levels the ``scale="tune"`` sweep evaluates in addition
         to the resolutions; defaults to ``(level,)``.  Ignored unless
@@ -244,7 +236,6 @@ class AdaWave:
         min_cluster_cells: int = 3,
         angle_divisor: float = 3.0,
         bounds: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
-        engine: str = "vectorized",
         lookup_only: bool = False,
         tune_levels: Optional[Sequence[int]] = None,
         threshold: Union[str, LevelPolicy] = "hard",
@@ -275,17 +266,6 @@ class AdaWave:
         self.min_cluster_cells = check_positive_int(min_cluster_cells, name="min_cluster_cells")
         self.angle_divisor = float(angle_divisor)
         self.bounds = bounds
-        if engine == "reference":
-            raise ValueError(
-                "AdaWave(engine='reference') has been removed after its "
-                "deprecation cycle. The per-cell reference implementations "
-                "remain importable from repro.engine.reference (use "
-                "repro.engine.reference.fit_reference for a one-shot run); "
-                "the estimator always uses the vectorized engine."
-            )
-        if engine != "vectorized":
-            raise ValueError(f"engine must be 'vectorized'; got {engine!r}.")
-        self.engine = engine
         self.lookup_only = bool(lookup_only)
         if tune_levels is not None:
             tune_levels = tuple(
@@ -319,9 +299,6 @@ class AdaWave:
         self._served_model: Optional["ClusterModel"] = None
 
     # -- pipeline stages ------------------------------------------------------
-
-    def _resolve_connectivity(self, ndim: int) -> str:
-        return resolve_connectivity(self.connectivity, ndim)
 
     def _resolve_scale(self, n_samples: int, n_features: int) -> Union[int, Tuple[int, ...]]:
         scale = self.scale
@@ -749,5 +726,5 @@ class AdaWave:
         return (
             f"AdaWave(scale={self.scale}, wavelet={self.wavelet!r}, "
             f"level={self.level}, "
-            f"threshold_method={self.threshold_method!r}, engine={self.engine!r})"
+            f"threshold_method={self.threshold_method!r})"
         )

@@ -63,7 +63,7 @@ def select_threshold(
         raise ValueError(
             f"threshold_method must be one of {THRESHOLD_METHODS}; got {method!r}."
         )
-    densities = transformed.densities()
+    densities = transformed.values
     if method == "none":
         sorted_densities = np.sort(densities)[::-1]
         return ThresholdDiagnostics(
@@ -88,7 +88,7 @@ def select_threshold(
                 "to fall back to the chord rule."
             )
         return diagnostics
-    return adaptive_threshold(densities, angle_divisor=angle_divisor)
+    return adaptive_threshold(densities)
 
 
 def extract_clusters(

@@ -274,20 +274,14 @@ def elbow_threshold_segments(densities, max_curve_points: int = 400) -> Threshol
     )
 
 
-def adaptive_threshold(densities, angle_divisor: float = 3.0) -> ThresholdDiagnostics:
-    """Paper rule with robust fallback: three-segment fit guarded by the chord rule.
+def adaptive_threshold(densities) -> ThresholdDiagnostics:
+    """Paper rule with a fallback: the three-segment fit, else the chord rule.
 
-    The three-segment fit matches Fig. 6 when the curve really has the three
-    regimes (signal / middle / noise).  When one regime is missing -- e.g. a
-    single dense cluster in sparse noise produces only two regimes -- the fit
-    can place the middle/noise junction deep inside the noise tail and return
-    a threshold that filters nothing.  The chord (knee) rule is insensitive to
-    that failure mode, so the final threshold is whichever of the two is
-    larger (filters more noise).
-
-    ``angle_divisor`` is accepted for interface compatibility with the literal
-    Algorithm 4 variant; it only matters when the caller explicitly selects
-    the angle method.
+    The three-segment fit (:func:`elbow_threshold_segments`) matches Fig. 6
+    and is returned whenever it finds its breakpoints.  When the curve is
+    degenerate -- fewer than six densities, or all of them equal -- the fit
+    has nothing to place, and the chord (knee) rule of
+    :func:`elbow_threshold_distance` decides instead.
     """
     values = np.asarray(densities, dtype=np.float64)
     if values.size == 0:

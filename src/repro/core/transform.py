@@ -236,5 +236,4 @@ def wavelet_smooth_grid(
 
 def grid_energy(grid: SparseGrid) -> float:
     """Sum of squared densities -- used by tests to check energy compaction."""
-    densities = grid.densities()
-    return float(np.sum(densities**2))
+    return float(np.sum(grid.values**2))

@@ -5,14 +5,12 @@ connected components, lookup) exist in two interchangeable implementations:
 
 * the **vectorized engine** -- COO arrays, batched DWT, sort-based neighbour
   joins and an array union-find, spread across :mod:`repro.grid`,
-  :mod:`repro.core.transform` and :mod:`repro.spatial`; selected with
-  ``AdaWave(engine="vectorized")`` (the default);
+  :mod:`repro.core.transform` and :mod:`repro.spatial`; every
+  :class:`~repro.core.adawave.AdaWave` fit runs it;
 * the **reference engine** (:mod:`repro.engine.reference`) -- the literal
-  per-cell Python implementations, used by the golden-regression and
-  equivalence tests as the ground truth.  It is no longer selectable through
-  the ``AdaWave`` constructor (the ``engine="reference"`` option completed
-  its deprecation cycle and now raises); run it via
-  :func:`repro.engine.reference.fit_reference` for regression comparison.
+  per-cell Python implementations on plain dicts, used by the
+  golden-regression and equivalence tests as the ground truth; run it via
+  :func:`repro.engine.reference.fit_reference`.
 
 This package also provides :class:`BatchRunner`, which clusters many
 datasets through one shared pipeline: the wavelet filter bank is built once

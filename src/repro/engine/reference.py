@@ -1,14 +1,18 @@
 """Reference (dict-based) implementations of the AdaWave pipeline stages.
 
 These are the straightforward per-cell Python implementations the project
-started from: a loop over points for quantization, a loop over occupied lines
-for the wavelet pass, hash probing for connected components and a memoised
-per-point loop for the final label lookup.  They are kept for three reasons:
+started from: a dict count of the points' cells for quantization, dense lines
+grouped in a dict for the wavelet pass, hash probing for connected components
+and a memoised per-point loop for the final label lookup.  They borrow none
+of the production grid machinery (no line grouping, code grouping, neighbour
+join or vectorized labeling); :class:`~repro.grid.sparse_grid.SparseGrid`
+only holds their results, built from ``{cell: density}`` dicts and read back
+with :meth:`~repro.grid.sparse_grid.SparseGrid.items`.  They are kept for
+three reasons:
 
 * :func:`fit_reference` runs the whole pipeline through them, which is what
   the golden-regression layer and the runtime benchmark compare the
-  vectorized engine against (``AdaWave(engine="reference")`` was deprecated
-  and has been removed from the estimator constructor);
+  vectorized engine against;
 * the Hypothesis equivalence tests assert stage-by-stage agreement between
   the two engines on random inputs;
 * they document the algorithm in its most literal form.
@@ -25,10 +29,11 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.grid.connectivity import _connected_components_hash, neighbor_offsets
+from repro.grid.connectivity import neighbor_offsets
 from repro.grid.lookup import NOISE_LABEL
 from repro.grid.quantizer import GridQuantizer, QuantizationResult
 from repro.grid.sparse_grid import SparseGrid
+from repro.spatial.union_find import UnionFind
 from repro.wavelets.dwt import dwt
 from repro.wavelets.filters import build_wavelet
 
@@ -38,14 +43,14 @@ _NEGLIGIBLE = 1e-9
 
 
 def quantize_reference(quantizer: GridQuantizer, X: np.ndarray) -> QuantizationResult:
-    """Per-point accumulation into the sparse grid (Algorithm 2, literal)."""
+    """Per-point accumulation of the cell counts (Algorithm 2, literal)."""
     point_cells = list(map(tuple, quantizer.transform(X).tolist()))
-    grid = SparseGrid(quantizer.shape_)
+    counts: Dict[Cell, int] = {}
     for cell in point_cells:
-        grid.add(cell, 1.0)
-    row_of = {cell: row for row, cell in enumerate(grid.cells())}
+        counts[cell] = counts.get(cell, 0) + 1  # G.get(gid) += 1
+    row_of = {cell: row for row, cell in enumerate(sorted(counts))}
     return QuantizationResult(
-        grid=grid,
+        grid=SparseGrid(quantizer.shape_, counts),
         inverse=np.array([row_of[cell] for cell in point_cells], dtype=np.int64),
         lower=quantizer.lower_.copy(),
         upper=quantizer.upper_.copy(),
@@ -53,19 +58,32 @@ def quantize_reference(quantizer: GridQuantizer, X: np.ndarray) -> QuantizationR
     )
 
 
+def lines_reference(grid: SparseGrid, axis: int) -> Dict[Cell, np.ndarray]:
+    """The occupied lines of ``grid`` along ``axis`` as dense density vectors.
+
+    Keyed by the cell with its ``axis`` entry removed; only lines holding at
+    least one occupied cell appear.
+    """
+    lines: Dict[Cell, np.ndarray] = {}
+    for cell, density in grid.items():
+        key = cell[:axis] + cell[axis + 1 :]
+        if key not in lines:
+            lines[key] = np.zeros(grid.shape[axis])
+        lines[key][cell[axis]] = density
+    return lines
+
+
 def _transform_axis_reference(grid: SparseGrid, wavelet, axis: int) -> SparseGrid:
     """Single-level low-pass transform along one axis, one line at a time."""
     new_shape = list(grid.shape)
     new_shape[axis] = (grid.shape[axis] + 1) // 2
-    transformed = SparseGrid(new_shape)
-    for key, line in grid.lines_along(axis):
+    transformed: Dict[Cell, float] = {}
+    for key, line in lines_reference(grid, axis).items():
         approx, _detail = dwt(line, wavelet, mode="periodization")
         for position, value in enumerate(approx):
-            if abs(value) <= _NEGLIGIBLE:
-                continue
-            cell = key[:axis] + (position,) + key[axis:]
-            transformed.add(cell, float(value))
-    return transformed
+            if abs(value) > _NEGLIGIBLE:
+                transformed[key[:axis] + (position,) + key[axis:]] = float(value)
+    return SparseGrid(new_shape, transformed)
 
 
 def wavelet_smooth_grid_reference(
@@ -89,15 +107,31 @@ def wavelet_smooth_grid_reference(
 
 
 def connected_components_reference(cells, connectivity: str = "face") -> Dict[Cell, int]:
-    """Hash-probing connected components with sorted-cell deterministic labels."""
+    """Hash-probing connected components with sorted-cell deterministic labels.
+
+    Every cell probes its positive neighbour offsets in a set of the
+    occupied cells and unions the hits; labels ``0, 1, 2, ...`` go to the
+    components in order of their first cell.
+    """
     cell_list = sorted(set(tuple(int(c) for c in cell) for cell in cells))
     if not cell_list:
         return {}
     ndim = len(cell_list[0])
     if any(len(cell) != ndim for cell in cell_list):
         raise ValueError("all cells must have the same dimensionality.")
-    neighbor_offsets(ndim, connectivity)
-    return _connected_components_hash(cell_list, connectivity)
+    offsets = neighbor_offsets(ndim, connectivity)
+    occupied = set(cell_list)
+    union = UnionFind(cell_list)
+    for cell in cell_list:
+        for offset in offsets:
+            neighbor = tuple(c + o for c, o in zip(cell, offset))
+            if neighbor in occupied:
+                union.union(cell, neighbor)
+    root_to_label: Dict[Cell, int] = {}
+    return {
+        cell: root_to_label.setdefault(union.find(cell), len(root_to_label))
+        for cell in cell_list
+    }
 
 
 def label_points_reference(
@@ -151,8 +185,7 @@ def fit_reference(
     parameter semantics (threshold selection is shared with the vectorized
     path -- it operates on a plain density vector either way).  This is the
     entry point the golden-regression and engine-equivalence tests compare
-    the vectorized estimator against, now that selecting the reference
-    engine through the ``AdaWave`` constructor has been removed.
+    the vectorized estimator against.
     """
     from repro.core.pipeline import resolve_connectivity, select_threshold
 

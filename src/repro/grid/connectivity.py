@@ -7,26 +7,25 @@ face adjacency (cells differing by one step along a single axis -- 2d
 neighbours) and full adjacency (all ``3**d - 1`` surrounding cells, useful in
 2-D where diagonal contact should connect ring-shaped clusters).
 
-The labeling itself is vectorized: the occupied cells are encoded as sorted
-codes over their bounding box (:class:`~repro.grid.codec.CellCodec`), each
+The labeling is vectorized: the occupied cells are encoded as sorted codes
+over their bounding box (:class:`~repro.grid.codec.CellCodec`), each
 positive neighbour offset becomes one shifted-code binary search (the
-codec's sort-based neighbour join, shared with
-:meth:`SparseGrid.neighbor_pairs`), and the resulting adjacency pairs are
+codec's sort-based neighbour join), and the resulting adjacency pairs are
 merged with the array union-find of
 :class:`repro.spatial.union_find.ArrayUnionFind`.  The per-cell
-hash-probing implementation is kept as the reference the property tests
-compare against.
+hash-probing labeling the property tests compare against is
+:func:`repro.engine.reference.connected_components_reference`.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.grid.codec import CellCodec
-from repro.spatial.union_find import ArrayUnionFind, UnionFind
+from repro.spatial.union_find import ArrayUnionFind
 
 Cell = Tuple[int, ...]
 
@@ -101,35 +100,7 @@ def label_components_array(coords: np.ndarray, connectivity: str = "face") -> np
     return union.labels()
 
 
-def _connected_components_hash(
-    cell_list: List[Cell], connectivity: str
-) -> Dict[Cell, int]:
-    """The original per-cell hash-probing labeling (the reference)."""
-    occupied = set(cell_list)
-    union = UnionFind(cell_list)
-    offsets = neighbor_offsets(len(cell_list[0]), connectivity)
-    for cell in cell_list:
-        for offset in offsets:
-            neighbor = tuple(c + o for c, o in zip(cell, offset))
-            if neighbor in occupied:
-                union.union(cell, neighbor)
-    labels: Dict[Cell, int] = {}
-    root_to_label: Dict[Cell, int] = {}
-    next_label = 0
-    for cell in cell_list:
-        root = union.find(cell)
-        if root not in root_to_label:
-            root_to_label[root] = next_label
-            next_label += 1
-        labels[cell] = root_to_label[root]
-    return labels
-
-
-def connected_components(
-    cells: Iterable[Cell],
-    connectivity: str = "face",
-    shape: Sequence[int] = None,
-) -> Dict[Cell, int]:
+def connected_components(cells: Iterable[Cell], connectivity: str = "face") -> Dict[Cell, int]:
     """Label the connected components of a set of grid cells.
 
     Parameters
@@ -138,10 +109,6 @@ def connected_components(
         Occupied cell coordinates (each a tuple of ints).
     connectivity:
         ``"face"`` (2d neighbours) or ``"full"`` (3**d - 1 neighbours).
-    shape:
-        Optional grid shape, accepted for backward compatibility.  The
-        vectorized join already restricts probes to the occupied bounding
-        box, so the argument no longer changes the work done.
 
     Returns
     -------
@@ -155,10 +122,6 @@ def connected_components(
     ndim = len(cell_list[0])
     if any(len(cell) != ndim for cell in cell_list):
         raise ValueError("all cells must have the same dimensionality.")
-    # Validate connectivity eagerly (and fail on unsupported dimensions) the
-    # same way the per-cell implementation did.
-    neighbor_offsets(ndim, connectivity)
-    del shape
     coords = np.asarray(cell_list, dtype=np.int64)
     labels = label_components_array(coords, connectivity=connectivity)
     return dict(zip(cell_list, labels.tolist()))

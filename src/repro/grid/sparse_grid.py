@@ -4,12 +4,11 @@ Algorithm 2 of the paper quantizes the feature space and stores *only* the
 grids with non-zero density.  :class:`SparseGrid` is that structure: sorted
 unique cell codes (:class:`~repro.grid.codec.CellCodec`, whose order is
 lexicographic cell order) plus an ``(m,)`` density vector, coordinates
-decoded on demand -- so every hot operation (accumulation, merging,
-coarsening, line extraction for the wavelet pass, neighbour joins) is a
-vectorized array pass over codes.  The dict-flavoured scalar API of the
-original implementation (``add``/``get``/``items``/``in``) is preserved on
-top: scalar mutations land in a small pending buffer folded into the
-canonical arrays on the next read.
+decoded on demand -- so every operation (accumulation, merging,
+coarsening, line extraction for the wavelet pass) is a vectorized array
+pass over codes.  Additions land in one pending buffer of code / density
+chunks, folded into the canonical arrays on the next read.  The literal
+per-cell form of the algorithm lives in :mod:`repro.engine.reference`.
 
 Canonical ordering makes the structure a *mergeable sketch*: two grids built
 from disjoint batches of points merge into exactly the grid the union of the
@@ -19,7 +18,7 @@ batches would have produced, which is what enables the streaming
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,8 +35,8 @@ class SparseGrid:
     shape:
         Number of intervals along each dimension.
     cells:
-        Optional initial ``{cell: density}`` mapping; densities accumulate if
-        the same cell is given multiple times via :meth:`add`.
+        Optional initial ``{cell: density}`` mapping, added with one
+        :meth:`add_many` call.
     """
 
     def __init__(self, shape: Sequence[int], cells: Mapping[Cell, float] = None) -> None:
@@ -54,10 +53,8 @@ class SparseGrid:
         self._values = np.empty(0, dtype=np.float64)
         self._coords: Optional[np.ndarray] = None
         self._pending_chunks: List[Tuple[np.ndarray, np.ndarray]] = []
-        self._pending_scalar: Dict[Cell, float] = {}
         if cells:
-            for cell, density in cells.items():
-                self.add(cell, density)
+            self.add_many(list(cells), list(cells.values()))
 
     # -- construction ---------------------------------------------------------
 
@@ -98,25 +95,13 @@ class SparseGrid:
 
     # -- pending-buffer management -------------------------------------------
 
-    def _dirty(self) -> bool:
-        return bool(self._pending_chunks or self._pending_scalar)
-
     def _consolidate(self) -> None:
-        """Fold pending scalar / bulk additions into the canonical arrays."""
-        if not self._dirty():
+        """Fold the pending code / density chunks into the canonical arrays."""
+        if not self._pending_chunks:
             return
-        parts_c: List[np.ndarray] = [self._codes]
-        parts_v: List[np.ndarray] = [self._values]
-        parts_c.extend(codes for codes, _ in self._pending_chunks)
-        parts_v.extend(vals for _, vals in self._pending_chunks)
-        if self._pending_scalar:
-            cells = np.array(list(self._pending_scalar.keys()), dtype=np.int64)
-            parts_c.append(self._codec.encode(cells))
-            parts_v.append(np.fromiter(self._pending_scalar.values(), dtype=np.float64))
-        codes = np.concatenate(parts_c)
-        values = np.concatenate(parts_v)
+        codes = np.concatenate([self._codes] + [c for c, _ in self._pending_chunks])
+        values = np.concatenate([self._values] + [v for _, v in self._pending_chunks])
         self._pending_chunks = []
-        self._pending_scalar = {}
 
         # Stable, so duplicate densities are summed in insertion order.
         order = np.argsort(codes, kind="stable")
@@ -125,17 +110,6 @@ class SparseGrid:
         self._values = np.add.reduceat(values[order], starts)
         self._codes = sorted_codes[starts]
         self._coords = None
-
-    def _find_row(self, cell: Cell) -> int:
-        """Row index of ``cell`` in the canonical arrays, or -1 if absent."""
-        self._consolidate()
-        if len(self._values) == 0:
-            return -1
-        code = self._codec.encode(np.asarray([cell], dtype=np.int64))[0]
-        row = int(np.searchsorted(self._codes, code))
-        if row < len(self._codes) and self._codes[row] == code:
-            return row
-        return -1
 
     # -- basic container protocol -------------------------------------------
 
@@ -193,47 +167,11 @@ class SparseGrid:
     def __len__(self) -> int:
         return self.n_occupied
 
-    def __iter__(self) -> Iterator[Cell]:
-        for row in self.coords.tolist():
-            yield tuple(row)
-
-    def __contains__(self, cell: Cell) -> bool:
-        return self._find_row(tuple(cell)) >= 0
-
-    def __getitem__(self, cell: Cell) -> float:
-        row = self._find_row(tuple(cell))
-        if row < 0:
-            raise KeyError(tuple(cell))
-        return float(self._values[row])
-
-    def get(self, cell: Cell, default: float = 0.0) -> float:
-        """Density of ``cell`` (0.0 when the cell is unoccupied)."""
-        row = self._find_row(tuple(cell))
-        return float(self._values[row]) if row >= 0 else default
-
-    def items(self) -> Iterable[Tuple[Cell, float]]:
-        """Iterate over ``(cell, density)`` pairs in lexicographic cell order."""
+    def items(self) -> List[Tuple[Cell, float]]:
+        """``(cell, density)`` pairs in lexicographic cell order."""
         return list(zip(map(tuple, self.coords.tolist()), self.values.tolist()))
 
-    def cells(self) -> List[Cell]:
-        """List of occupied cell coordinates (lexicographic order)."""
-        return [tuple(row) for row in self.coords.tolist()]
-
-    def densities(self) -> np.ndarray:
-        """Densities of the occupied cells, aligned with :meth:`cells`."""
-        self._consolidate()
-        return self._values.copy()
-
     # -- mutation -------------------------------------------------------------
-
-    def _validate_cell(self, cell: Cell) -> Cell:
-        cell = tuple(int(c) for c in cell)
-        if len(cell) != self.ndim:
-            raise ValueError(f"cell {cell} has {len(cell)} coordinates; grid is {self.ndim}-D.")
-        for coordinate, size in zip(cell, self._shape):
-            if not 0 <= coordinate < size:
-                raise ValueError(f"cell {cell} is outside the grid of shape {self._shape}.")
-        return cell
 
     def _validate_coords(self, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=np.int64)
@@ -248,11 +186,6 @@ class SparseGrid:
                 f"cell {tuple(int(c) for c in bad)} is outside the grid of shape {self._shape}."
             )
         return coords
-
-    def add(self, cell: Cell, density: float = 1.0) -> None:
-        """Accumulate ``density`` into ``cell`` (Algorithm 2's ``G.get(gid) += 1``)."""
-        cell = self._validate_cell(cell)
-        self._pending_scalar[cell] = self._pending_scalar.get(cell, 0.0) + float(density)
 
     def add_many(self, coords, values) -> None:
         """Accumulate densities into many cells at once (vectorized).
@@ -306,24 +239,6 @@ class SparseGrid:
         if len(other._values):
             self._pending_chunks.append((other._codes.copy(), other._values.copy()))
         return self
-
-    def set(self, cell: Cell, density: float) -> None:
-        """Overwrite the density of ``cell``."""
-        cell = self._validate_cell(cell)
-        row = self._find_row(cell)
-        if row >= 0:
-            self._values[row] = float(density)
-        else:
-            self._pending_scalar[cell] = float(density)
-
-    def discard(self, cell: Cell) -> None:
-        """Remove ``cell`` if present."""
-        cell = tuple(int(c) for c in cell)
-        row = self._find_row(cell)
-        if row >= 0:
-            self._codes = np.delete(self._codes, row)
-            self._values = np.delete(self._values, row)
-            self._coords = None
 
     def prune(self, threshold: float) -> "SparseGrid":
         """Return a new grid keeping only cells with ``density > threshold``."""
@@ -409,14 +324,6 @@ class SparseGrid:
             dense[tuple(self.coords.T)] = self._values
         return dense
 
-    @classmethod
-    def from_dense(cls, array: np.ndarray, *, tolerance: float = 0.0) -> "SparseGrid":
-        """Build a sparse grid from a dense array, skipping ``|value| <= tolerance``."""
-        array = np.asarray(array, dtype=np.float64)
-        mask = np.abs(array) > tolerance
-        coords = np.argwhere(mask)
-        return cls.from_coo(array.shape, coords, array[mask])
-
     # -- structure queries -------------------------------------------------------
 
     def _line_grouping(self, axis: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -446,51 +353,17 @@ class SparseGrid:
         line_ids = np.cumsum(new_line) - 1
         return codec.without(axis).decode(line_keys[new_line]), line_ids, positions, values
 
-    def lines_along(self, axis: int) -> Iterator[Tuple[Cell, np.ndarray]]:
-        """Iterate over the occupied 1-D lines parallel to ``axis``.
-
-        Yields ``(key, values)`` where ``key`` is the cell coordinate with the
-        ``axis`` entry removed and ``values`` is the dense length-``shape[axis]``
-        density vector of that line.  Only lines containing at least one
-        occupied cell are produced, in sorted key order.
-        """
-        keys, line_ids, positions, values = self._line_grouping(axis)
-        length = self._shape[axis]
-        # line_ids is non-decreasing, so every line is a contiguous slice.
-        starts = np.searchsorted(line_ids, np.arange(len(keys)))
-        ends = np.append(starts[1:], len(line_ids))
-        for line_index, key in enumerate(tuple(row) for row in keys.tolist()):
-            lo, hi = starts[line_index], ends[line_index]
-            dense = np.zeros(length)
-            dense[positions[lo:hi]] = values[lo:hi]
-            yield key, dense
-
     def line_matrix(self, axis: int) -> Tuple[np.ndarray, np.ndarray]:
         """Dense matrix of every occupied line along ``axis`` (vectorized).
 
         Returns ``(keys, matrix)``: ``keys`` is ``(n_lines, d - 1)`` and
         ``matrix`` is ``(n_lines, shape[axis])`` with the density vectors of
-        the lines as rows, in the same (sorted) order as :meth:`lines_along`.
+        the lines as rows, in sorted key order.
         """
         keys, line_ids, positions, values = self._line_grouping(axis)
         matrix = np.zeros((len(keys), self._shape[axis]))
         matrix[line_ids, positions] = values
         return keys, matrix
-
-    def neighbor_pairs(self, connectivity: str = "face") -> Tuple[np.ndarray, np.ndarray]:
-        """Index pairs of adjacent occupied cells (sort-based neighbour join).
-
-        For every positive neighbour offset the occupied cell codes are
-        shifted and matched against the canonical (sorted) codes with a
-        binary search (:meth:`CellCodec.join`), so the join costs
-        ``O(offsets * m log m)`` instead of a hash probe per cell and offset.
-        Returns ``(a, b)`` row-index arrays into :attr:`coords`; each adjacent
-        pair appears exactly once.
-        """
-        from repro.grid.connectivity import neighbor_offsets
-
-        offsets = neighbor_offsets(self.ndim, connectivity)
-        return self._codec.join(self.codes, offsets)
 
     def total_mass(self) -> float:
         """Sum of all stored densities."""

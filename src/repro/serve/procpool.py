@@ -505,9 +505,10 @@ class ProcessWorkerPool:
                 index = next(self._rotation)
                 if self.processes[index].is_alive():
                     return index
+            exitcodes = [process.exitcode for process in self.processes]
         raise RuntimeError(
-            "no live worker processes remain in the pool; the service must be "
-            "restarted."
+            f"every worker process in the pool has died (exitcodes {exitcodes}); "
+            "the service must be restarted."
         )
 
     def send_predict(

@@ -154,11 +154,6 @@ class GridPyramid:
             self.levels.append(PyramidLevel(factor=factor, scale=scale, grid=current))
 
     @property
-    def n_levels(self) -> int:
-        """Number of materialized resolutions."""
-        return len(self.levels)
-
-    @property
     def factors(self) -> Tuple[int, ...]:
         """The downsampling factors, finest first."""
         return tuple(level.factor for level in self.levels)

@@ -21,15 +21,6 @@ from repro.wavelets.dwt import dwt, idwt
 from repro.wavelets.filters import build_wavelet
 
 
-def _apply_along_axis(func, array: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a 1-D -> 1-D function along ``axis`` of ``array``."""
-    moved = np.moveaxis(array, axis, -1)
-    flat = moved.reshape(-1, moved.shape[-1])
-    transformed = np.stack([func(row) for row in flat])
-    restored = transformed.reshape(moved.shape[:-1] + (transformed.shape[-1],))
-    return np.moveaxis(restored, -1, axis)
-
-
 def _dwt_axis(array: np.ndarray, wavelet, mode: str, axis: int) -> Tuple[np.ndarray, np.ndarray]:
     """Single-level DWT along one axis; returns the (approx, detail) arrays."""
     moved = np.moveaxis(array, axis, -1)

@@ -248,16 +248,6 @@ class TestAdaWaveEdgeCases:
         with pytest.raises(TypeError, match="n_features"):
             AdaWave.auto_scale(100, 2.5)
 
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            AdaWave(engine="turbo")
-
-    def test_reference_engine_is_removed(self):
-        """Satellite: the deprecation cycle is complete -- the constructor
-        rejects engine='reference' with a pointer at the importable module."""
-        with pytest.raises(ValueError, match="repro.engine.reference"):
-            AdaWave(engine="reference")
-
     def test_vectorized_engine_does_not_warn(self):
         import warnings
 

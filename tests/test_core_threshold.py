@@ -191,7 +191,7 @@ class TestWaveletSmoothGrid:
     def test_dense_cluster_cell_dominates_after_transform(self):
         grid = self._make_grid()
         transformed, _ = wavelet_smooth_grid(grid, "bior2.2", level=1)
-        densities = np.sort(transformed.densities())[::-1]
+        densities = np.sort(transformed.values)[::-1]
         # The dense Gaussian blob must still stand far above the noise cells.
         assert densities[0] > 5 * np.median(densities)
 

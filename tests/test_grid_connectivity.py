@@ -76,12 +76,6 @@ class TestConnectedComponents:
         labels = connected_components(cells, connectivity="full")
         assert len(set(labels.values())) == 1
 
-    def test_shape_argument_does_not_change_result(self):
-        cells = [(0, 0), (0, 1), (3, 3)]
-        with_shape = connected_components(cells, shape=(4, 4))
-        without_shape = connected_components(cells)
-        assert with_shape == without_shape
-
     def test_component_sizes(self):
         labels = connected_components([(0, 0), (0, 1), (5, 5)])
         sizes = component_sizes(labels)

@@ -10,36 +10,23 @@ from repro.grid.sparse_grid import SparseGrid
 class TestSparseGrid:
     def test_basic_add_and_get(self):
         grid = SparseGrid((4, 4))
-        grid.add((1, 2))
-        grid.add((1, 2), 2.0)
-        assert grid.get((1, 2)) == 3.0
-        assert grid.get((0, 0)) == 0.0
-        assert (1, 2) in grid
+        grid.add_many([[1, 2]], 1.0)
+        grid.add_many([[1, 2]], 2.0)
+        assert dict(grid.items()) == {(1, 2): 3.0}
         assert len(grid) == 1
-
-    def test_set_overwrites(self):
-        grid = SparseGrid((4,))
-        grid.add((1,), 5.0)
-        grid.set((1,), 2.0)
-        assert grid[(1,)] == 2.0
-
-    def test_discard(self):
-        grid = SparseGrid((4,))
-        grid.add((2,))
-        grid.discard((2,))
-        grid.discard((3,))  # absent: no error
-        assert len(grid) == 0
 
     def test_out_of_bounds_rejected(self):
         grid = SparseGrid((4, 4))
         with pytest.raises(ValueError, match="outside"):
-            grid.add((4, 0))
+            grid.add_many([[4, 0]], 1.0)
         with pytest.raises(ValueError, match="outside"):
-            grid.add((-1, 0))
+            grid.add_many([[-1, 0]], 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            SparseGrid((4, 4), {(0, 4): 1.0})
 
     def test_wrong_dimensionality_rejected(self):
-        with pytest.raises(ValueError, match="coordinates"):
-            SparseGrid((4, 4)).add((1,))
+        with pytest.raises(ValueError, match="shape"):
+            SparseGrid((4, 4)).add_many([[1]], 1.0)
 
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
@@ -48,55 +35,45 @@ class TestSparseGrid:
             SparseGrid((0, 3))
 
     def test_total_cells_and_memory(self):
-        grid = SparseGrid((10, 10, 10))
-        grid.add((1, 1, 1))
-        grid.add((2, 2, 2))
+        grid = SparseGrid((10, 10, 10), {(1, 1, 1): 1.0, (2, 2, 2): 1.0})
         assert grid.n_total_cells == 1000
         assert grid.memory_cells() == 2
 
     def test_prune_keeps_strictly_above_threshold(self):
         grid = SparseGrid((4,), {(0,): 1.0, (1,): 2.0, (2,): 3.0})
         pruned = grid.prune(2.0)
-        assert pruned.cells() == [(2,)]
+        assert pruned.items() == [((2,), 3.0)]
 
     def test_copy_is_independent(self):
         grid = SparseGrid((4,), {(0,): 1.0})
         clone = grid.copy()
-        clone.add((1,), 1.0)
+        clone.add_many([[1]], 1.0)
         assert len(grid) == 1 and len(clone) == 2
 
-    def test_dense_roundtrip(self):
+    def test_to_dense(self):
+        grid = SparseGrid((3, 3), {(1, 2): 4.0, (0, 0): 1.0})
         dense = np.zeros((3, 3))
         dense[1, 2] = 4.0
         dense[0, 0] = 1.0
-        grid = SparseGrid.from_dense(dense)
-        np.testing.assert_allclose(grid.to_dense(), dense)
+        np.testing.assert_array_equal(grid.to_dense(), dense)
 
     def test_to_dense_refuses_high_dimension(self):
         grid = SparseGrid((2,) * 8)
         with pytest.raises(ValueError, match="refusing"):
             grid.to_dense()
 
-    def test_lines_along_axis(self):
-        grid = SparseGrid((4, 3), {(0, 1): 2.0, (2, 1): 3.0, (1, 0): 1.0})
-        lines = dict(grid.lines_along(0))
-        # Two occupied lines: one for column 1, one for column 0.
-        assert set(lines) == {(1,), (0,)}
-        np.testing.assert_allclose(lines[(1,)], [2.0, 0.0, 3.0, 0.0])
-        np.testing.assert_allclose(lines[(0,)], [0.0, 1.0, 0.0, 0.0])
-
-    def test_lines_along_invalid_axis(self):
+    def test_line_matrix_invalid_axis(self):
         with pytest.raises(ValueError, match="axis"):
-            list(SparseGrid((4, 4)).lines_along(2))
+            SparseGrid((4, 4)).line_matrix(2)
 
     def test_total_mass(self):
         grid = SparseGrid((4,), {(0,): 1.5, (3,): 2.5})
         assert grid.total_mass() == pytest.approx(4.0)
 
     def test_densities_order_matches_items(self):
-        grid = SparseGrid((5,), {(0,): 1.0, (4,): 9.0})
-        values = dict(grid.items())
-        np.testing.assert_allclose(sorted(grid.densities()), sorted(values.values()))
+        grid = SparseGrid((5,), {(4,): 9.0, (0,): 1.0})
+        assert grid.items() == [((0,), 1.0), ((4,), 9.0)]
+        assert grid.values.tolist() == [density for _, density in grid.items()]
 
     def test_added_points_fold_once_they_outnumber_the_cells(self):
         grid = SparseGrid((8, 8))

@@ -78,7 +78,6 @@ def _outside_codes(codec):
 
 
 @given(data=labelled_cells())
-@settings(max_examples=120, deadline=None)
 def test_cell_label_index_matches_bruteforce_scan(data):
     ndim, cells, labels, queries = data
     index = _index(ndim, cells, labels, queries)
@@ -197,7 +196,6 @@ def test_labels_follow_the_applied_level(case):
 
 
 @given(data=labelled_cells(max_dim=3), seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=40, deadline=None)
 def test_mmap_predict_identical_on_random_models(tmp_path_factory, data, seed):
     """save(compress=False) -> load(mmap=True/False) predict bit-for-bit."""
     ndim, cells, labels, _ = data

@@ -179,6 +179,23 @@ class TestRespawn:
         finally:
             service.close()
 
+    def test_dispatch_after_every_worker_died_names_the_deaths(
+        self, corpus, tmp_path
+    ):
+        """A request dispatched once no worker is left fails with an error
+        that says the workers died, with their exit codes."""
+        models, queries, _expected = corpus
+        service = ProcessPoolService(
+            tmp_path, n_workers=1, worker_timeout=5.0, respawn_workers=False
+        )
+        try:
+            service.register("prod", models[0])
+            _kill_worker(service, index=0)
+            with pytest.raises(RuntimeError, match=r"died \(exitcodes \[-9\]\)"):
+                service.predict("prod", queries[:10])
+        finally:
+            service.close()
+
     def test_double_resolution_stress_counts_each_request_once(
         self, corpus, tmp_path
     ):
