@@ -144,6 +144,24 @@ class TestAdaptiveThreshold:
         result = adaptive_threshold(three_regime_densities())
         assert result.method == "segments"
 
+    def test_returns_the_segment_fit_even_below_the_chord_threshold(self):
+        densities = np.concatenate(
+            [np.linspace(100.0, 50.0, 40), np.linspace(30.0, 5.0, 48), np.linspace(3.0, 0.0, 15)]
+        )
+        segments = elbow_threshold_segments(densities)
+        assert segments.method == "segments"
+        assert elbow_threshold_distance(densities).threshold > segments.threshold
+        result = adaptive_threshold(densities)
+        assert (result.method, result.threshold) == ("segments", segments.threshold)
+        assert result.breakpoints == segments.breakpoints
+
+    def test_falls_back_to_the_chord_rule_below_six_densities(self):
+        densities = [10.0, 9.0, 1.0, 0.5, 0.2]
+        assert elbow_threshold_segments(densities).method == "degenerate"
+        chord = elbow_threshold_distance(densities)
+        result = adaptive_threshold(densities)
+        assert (result.method, result.threshold) == ("distance", chord.threshold)
+
     def test_falls_back_on_tiny_input(self):
         result = adaptive_threshold([5.0, 1.0])
         assert result.method in ("distance", "degenerate")

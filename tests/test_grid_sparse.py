@@ -57,10 +57,29 @@ class TestSparseGrid:
         dense[0, 0] = 1.0
         np.testing.assert_array_equal(grid.to_dense(), dense)
 
+    def test_from_coo_dense_roundtrip(self):
+        dense = np.zeros((3, 3))
+        dense[1, 2] = 4.0
+        dense[0, 0] = 1.0
+        occupied = np.argwhere(dense != 0)
+        grid = SparseGrid.from_coo(dense.shape, occupied, dense[tuple(occupied.T)])
+        np.testing.assert_array_equal(grid.to_dense(), dense)
+
+    def test_from_coo_accumulates_duplicates(self):
+        grid = SparseGrid.from_coo((4, 4), [[1, 1], [0, 2], [1, 1]], [1.0, 3.0, 2.0])
+        assert grid.items() == [((0, 2), 3.0), ((1, 1), 3.0)]
+
     def test_to_dense_refuses_high_dimension(self):
         grid = SparseGrid((2,) * 8)
         with pytest.raises(ValueError, match="refusing"):
             grid.to_dense()
+
+    def test_line_matrix_along_axis(self):
+        grid = SparseGrid((4, 3), {(0, 1): 2.0, (2, 1): 3.0, (1, 0): 1.0})
+        keys, matrix = grid.line_matrix(0)
+        # Two occupied lines, in key order: column 0, then column 1.
+        assert keys.tolist() == [[0], [1]]
+        np.testing.assert_array_equal(matrix, [[0.0, 1.0, 0.0, 0.0], [2.0, 0.0, 3.0, 0.0]])
 
     def test_line_matrix_invalid_axis(self):
         with pytest.raises(ValueError, match="axis"):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from repro.baselines.diptest import dip_statistic
 from repro.grid.connectivity import connected_components
 from repro.grid.quantizer import GridQuantizer
+from repro.grid.sparse_grid import SparseGrid
 from repro.metrics import (
     adjusted_mutual_info,
     adjusted_rand_index,
@@ -95,6 +96,21 @@ class TestGridProperties:
         face = connected_components(cells, connectivity="face")
         full = connected_components(cells, connectivity="full")
         assert len(set(full.values())) <= len(set(face.values()))
+
+    @given(
+        entries=st.dictionaries(
+            st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7)),
+            st.floats(min_value=0.1, max_value=100.0, allow_nan=False),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_sparse_grid_dense_roundtrip(self, entries):
+        grid = SparseGrid((8, 8), entries)
+        dense = grid.to_dense()
+        occupied = np.argwhere(dense != 0)
+        roundtripped = SparseGrid.from_coo(dense.shape, occupied, dense[tuple(occupied.T)])
+        assert roundtripped.items() == grid.items()
 
 
 class TestDipProperties:
